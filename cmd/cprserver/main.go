@@ -154,9 +154,17 @@ func main() {
 		cfg.Checkpoints = cpr.NewFaultCheckpointStore(cpr.NewMemCheckpointStore(), injector)
 	}
 
+	opts := serveOptions{
+		autocommit:    *autocommit,
+		idleTimeout:   *idleTO,
+		coalesceBytes: *coalesceBytes,
+		coalesceOps:   *coalesceOps,
+		debugAddr:     *debugAddr,
+		healthIvl:     *healthIvl,
+		sloDurLag:     *sloDurLag,
+	}
 	if *replicaOf != "" {
-		runReplica(cfg, *replicaOf, *addr, *replAddr, *autocommit, *debugAddr,
-			*coalesceBytes, *coalesceOps, *healthIvl, *sloDurLag)
+		runReplica(cfg, *replicaOf, *addr, *replAddr, opts)
 		return
 	}
 
@@ -204,32 +212,8 @@ func main() {
 		defer stop()
 	}
 
-	eng := startHealth(store, *healthIvl, *sloDurLag)
-	if eng != nil {
-		defer eng.Stop()
-	}
-
-	if *debugAddr != "" {
-		mux := obs.NewDebugMux(store.Metrics(), store.Tracer(), store.Flight(), store.RequestTracer())
-		if eng != nil {
-			mux.Handle("/health", eng.Handler())
-		}
-		go func() {
-			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,health,debug/pprof}", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
 	srv := kvserver.NewServer(store)
-	if eng != nil {
-		srv.Health = eng.Verdict
-	}
-	srv.AutoCommit = *autocommit
-	srv.IdleTimeout = *idleTO
-	srv.CoalesceBytes = *coalesceBytes
-	srv.CoalesceOps = *coalesceOps
+	defer opts.setup(srv, store)()
 	if *replAddr != "" {
 		rsrv := repl.NewServer(store)
 		rsrv.ClientAddr = *addr
@@ -253,6 +237,47 @@ func main() {
 	if err := srv.Serve(*addr); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// serveOptions are the flag-derived settings shared by a primary's and a
+// replica's kvserver.
+type serveOptions struct {
+	autocommit    time.Duration
+	idleTimeout   time.Duration
+	coalesceBytes int
+	coalesceOps   int
+	debugAddr     string
+	healthIvl     time.Duration
+	sloDurLag     time.Duration
+}
+
+// setup applies the options to srv, which serves store: it starts the health
+// engine and the debug listener when enabled, and sets the server's commit,
+// reaping and coalescing knobs. The returned function stops the health
+// engine.
+func (o serveOptions) setup(srv *kvserver.Server, store *faster.Store) (stop func()) {
+	eng := startHealth(store, o.healthIvl, o.sloDurLag)
+	if o.debugAddr != "" {
+		mux := obs.NewDebugMux(store.Metrics(), store.Flight(), store.RequestTracer())
+		if eng != nil {
+			mux.Handle("/health", eng.Handler())
+		}
+		go func() {
+			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,trace,health,debug/pprof}", o.debugAddr)
+			if err := http.ListenAndServe(o.debugAddr, mux); err != nil {
+				log.Printf("debug listener: %v", err)
+			}
+		}()
+	}
+	srv.AutoCommit = o.autocommit // a replica's takes effect after promotion
+	srv.IdleTimeout = o.idleTimeout
+	srv.CoalesceBytes = o.coalesceBytes
+	srv.CoalesceOps = o.coalesceOps
+	if eng == nil {
+		return func() {}
+	}
+	srv.Health = eng.Verdict
+	return eng.Stop
 }
 
 // startHealth builds and starts the health engine over a store's
@@ -300,38 +325,15 @@ func dumpFlightOnPanic(store *faster.Store) {
 
 // runReplica serves prefix-consistent reads from a replica of upstream,
 // promoting to primary on SIGHUP.
-func runReplica(cfg faster.Config, upstream, addr, replAddr string, autocommit time.Duration, debugAddr string, coalesceBytes, coalesceOps int, healthIvl, sloDurLag time.Duration) {
+func runReplica(cfg faster.Config, upstream, addr, replAddr string, opts serveOptions) {
 	rep, err := repl.NewReplica(repl.Config{Upstream: upstream, StoreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rep.Store().Close()
 
-	eng := startHealth(rep.Store(), healthIvl, sloDurLag)
-	if eng != nil {
-		defer eng.Stop()
-	}
-
-	if debugAddr != "" {
-		mux := obs.NewDebugMux(rep.Store().Metrics(), rep.Store().Tracer(), rep.Store().Flight(), rep.Store().RequestTracer())
-		if eng != nil {
-			mux.Handle("/health", eng.Handler())
-		}
-		go func() {
-			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,health,debug/pprof}", debugAddr)
-			if err := http.ListenAndServe(debugAddr, mux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
 	srv := kvserver.NewReplicaServer(rep)
-	if eng != nil {
-		srv.Health = eng.Verdict
-	}
-	srv.AutoCommit = autocommit // takes effect after promotion
-	srv.CoalesceBytes = coalesceBytes
-	srv.CoalesceOps = coalesceOps
+	defer opts.setup(srv, rep.Store())()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGHUP)

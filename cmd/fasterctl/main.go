@@ -38,6 +38,7 @@ import (
 
 	cpr "repro"
 	"repro/internal/kvserver"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -109,7 +110,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints}
+	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints,
+		Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
 	if *shards > 1 {
 		base := *dir
 		cfg.DeviceFactory = func(i int) (cpr.Device, error) {
@@ -213,7 +215,8 @@ func main() {
 		}
 	case "metrics":
 		// Drive one log-only commit so the output includes a live phase
-		// timeline for this store, then dump the registry and the timeline.
+		// timeline for this store, then dump the registry and the timeline
+		// derived from the flight recorder.
 		token, err := store.Commit(cpr.CommitOptions{})
 		if err != nil {
 			log.Fatal(err)
@@ -239,7 +242,7 @@ func main() {
 			Timeline cpr.PhaseTimeline   `json:"timeline"`
 		}{
 			Metrics:  snap,
-			Timeline: store.Tracer().Timeline(),
+			Timeline: store.Flight().Timeline(),
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

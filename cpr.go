@@ -169,10 +169,9 @@ type MetricsRegistry = obs.Registry
 // subtract (Sub) to scope counters to an interval.
 type MetricsSnapshot = obs.Snapshot
 
-// PhaseTracer records CPR checkpoint state-machine activity.
-type PhaseTracer = obs.Tracer
-
-// PhaseTimeline is a tracer export: raw events plus per-phase spans.
+// PhaseTimeline is the CPR phase view of a flight recording: the commit
+// state-machine events plus per-shard phase spans derived from them
+// (FlightRecorder.Timeline).
 type PhaseTimeline = obs.Timeline
 
 // NewMetricsRegistry returns an empty, enabled registry.

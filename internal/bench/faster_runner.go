@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,8 +63,9 @@ type FasterSummary struct {
 	CommitIntervalSec float64
 	// Metrics is the store's registry delta over the run.
 	Metrics obs.Snapshot
-	// PhaseNanos sums, per CPR phase, the tracer's span durations for the
-	// commits this run issued (where does checkpoint time go?).
+	// PhaseNanos sums, per CPR phase, the closed phase-span durations the
+	// flight recorder's timeline derives for the commits this run issued
+	// (where does checkpoint time go?), across every shard.
 	PhaseNanos map[string]int64
 }
 
@@ -105,6 +105,7 @@ func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
 		MemPages:     memPages,
 		Kind:         p.Kind,
 		Transfer:     p.Transfer,
+		Flight:       obs.NewFlightRecorder(obs.DefaultFlightCapacity),
 	})
 	if err != nil {
 		return nil, err
@@ -301,14 +302,14 @@ func RunFaster(p FasterParams) (FasterSummary, error) {
 		sum.AvgLatencyUs = float64(latSumNs.Load()) / float64(n) / 1e3
 	}
 	sum.Metrics = s.Metrics().Snapshot().Sub(metricsBefore)
-	sum.PhaseNanos = phaseNanos(s.Tracer(), sum.Commits)
+	sum.PhaseNanos = phaseNanos(s.Flight(), sum.Commits)
 	return sum, nil
 }
 
-// phaseNanos sums the tracer's closed phase spans, per phase, for the given
-// commits' tokens.
-func phaseNanos(tr *obs.Tracer, commits []faster.CommitResult) map[string]int64 {
-	if tr == nil || len(commits) == 0 {
+// phaseNanos sums the flight timeline's closed phase spans, per phase, for
+// the given commits' tokens.
+func phaseNanos(fr *obs.FlightRecorder, commits []faster.CommitResult) map[string]int64 {
+	if fr == nil || len(commits) == 0 {
 		return nil
 	}
 	tokens := make(map[string]bool, len(commits))
@@ -316,19 +317,10 @@ func phaseNanos(tr *obs.Tracer, commits []faster.CommitResult) map[string]int64 
 		tokens[c.Token] = true
 	}
 	out := make(map[string]int64)
-	for _, sp := range tr.Timeline().Spans {
-		if sp.Open {
-			continue
+	for _, sp := range fr.Timeline().Spans {
+		if !sp.Open && tokens[sp.Token] {
+			out[sp.Phase] += sp.DurationNanos
 		}
-		// A partitioned store traces each shard's machine as token/s<i>.
-		tok := sp.Token
-		if i := strings.LastIndex(tok, "/s"); i >= 0 {
-			tok = tok[:i]
-		}
-		if !tokens[tok] {
-			continue
-		}
-		out[sp.Phase] += sp.DurationNanos
 	}
 	return out
 }

@@ -48,10 +48,6 @@ type checkpointCtx struct {
 	kind    CommitKind
 	opts    CommitOptions
 	token   string
-	// traceToken is token plus the shard's trace suffix, so the per-shard
-	// state machines of a coordinated commit stay distinguishable in the
-	// shared tracer.
-	traceToken string
 	// coordinated marks a shard-level leg of a cross-shard commit: the
 	// store-level coordinator owns the merged result, commit metrics and
 	// OnDone callback.
@@ -214,10 +210,7 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		Token: mc.token, Version: mc.version, Kind: kind,
 		Serials: serials, Bytes: bytes, Err: firstErr,
 	}
-	s.ckptMu.Lock()
-	s.results[mc.token] = mc.res
-	s.multi = nil
-	s.ckptMu.Unlock()
+	// Completion effects first, then publish the result (see waitFlush).
 	if firstErr == nil {
 		s.metrics.commits.Inc()
 		s.metrics.commitBytes.Add(uint64(bytes))
@@ -228,6 +221,10 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		s.metrics.commitFailures.Inc()
 		s.cfg.Flight.Emit(obs.FlightCommitFail, -1, uint64(mc.version), mc.token, "", 0, 0)
 	}
+	s.ckptMu.Lock()
+	s.results[mc.token] = mc.res
+	s.multi = nil
+	s.ckptMu.Unlock()
 	close(mc.done)
 	if mc.opts.OnDone != nil {
 		mc.opts.OnDone(mc.res)
@@ -307,7 +304,6 @@ func (sh *shard) commit(opts CommitOptions, token string) (string, error) {
 		kind:        kind,
 		opts:        opts,
 		token:       token,
-		traceToken:  token + sh.traceSuffix,
 		coordinated: coordinated,
 		started:     time.Now(),
 		done:        make(chan struct{}),
@@ -322,8 +318,7 @@ func (sh *shard) commit(opts CommitOptions, token string) (string, error) {
 	sh.state.Store(packState(Prepare, ck.version))
 	sh.flight.Emit(obs.FlightCommitStart, sh.id, uint64(ck.version), ck.token, "", 0, 0)
 	ck.emitPhase(Rest, Prepare)
-	sh.tracer.Phase(ck.traceToken, uint64(ck.version), Rest.String(), Prepare.String())
-	ck.bumpTraced(Prepare)
+	ck.bumpEpoch()
 	sh.ckptMu.Unlock()
 	sh.sessionMu.Unlock()
 	// With zero participants the seal completes both transitions at once.
@@ -364,15 +359,12 @@ func (ck *checkpointCtx) ackPrepare(sess *shardSession) {
 	ck.coord.AckPrepare(sess)
 }
 
-// bumpTraced bumps the epoch for a phase publication, recording the drain
-// latency (how long until every registered thread observed the phase) in the
-// store's tracer.
-func (ck *checkpointCtx) bumpTraced(published Phase) {
-	sh := ck.store
-	t0 := time.Now()
-	sh.epochs.BumpEpoch(func() {
-		sh.tracer.Drain(ck.traceToken, published.String(), uint64(ck.version), time.Since(t0))
-	})
+// bumpEpoch bumps the epoch for a phase publication. The no-op trigger
+// action makes the epoch manager measure the drain — how long until every
+// registered thread observed the phase — into its drain histogram and the
+// flight recorder's epoch-drain event.
+func (ck *checkpointCtx) bumpEpoch() {
+	ck.store.epochs.BumpEpoch(func() {})
 }
 
 // emitPhase records a state-machine transition in the flight recorder (phase
@@ -385,8 +377,7 @@ func (ck *checkpointCtx) emitPhase(from, to Phase) {
 func (ck *checkpointCtx) advanceToInProgress() {
 	ck.store.state.Store(packState(InProgress, ck.version))
 	ck.emitPhase(Prepare, InProgress)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), Prepare.String(), InProgress.String())
-	ck.bumpTraced(InProgress)
+	ck.bumpEpoch()
 }
 
 // ackInProgress records a session's CPR point (transition 3 of Fig. 9a).
@@ -397,7 +388,6 @@ func (ck *checkpointCtx) ackInProgress(sess *shardSession, cprSerial uint64) {
 func (ck *checkpointCtx) advanceToWaitPending() {
 	ck.store.state.Store(packState(WaitPending, ck.version))
 	ck.emitPhase(InProgress, WaitPending)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), InProgress.String(), WaitPending.String())
 	ck.checkPendingDone()
 }
 
@@ -408,7 +398,6 @@ func (ck *checkpointCtx) dropParticipant(sess *shardSession) {
 	sameVersion := sess.version == ck.version
 	ck.store.flight.Emit(obs.FlightDrop, ck.store.id, uint64(ck.version), ck.token,
 		sess.owner.id, sess.owner.Serial(), 0)
-	ck.store.tracer.Session(ck.traceToken, sess.owner.id, "drop", uint64(ck.version), sess.owner.Serial())
 	ck.coord.Drop(sess,
 		sameVersion && sess.phase >= Prepare,
 		sameVersion && sess.phase >= InProgress,
@@ -440,7 +429,6 @@ func (ck *checkpointCtx) checkPendingDone() {
 	}
 	ck.store.state.Store(packState(WaitFlush, ck.version))
 	ck.emitPhase(WaitPending, WaitFlush)
-	ck.store.tracer.Phase(ck.traceToken, uint64(ck.version), WaitPending.String(), WaitFlush.String())
 	go ck.waitFlush()
 }
 
@@ -571,15 +559,12 @@ func (ck *checkpointCtx) waitFlush() {
 		Token: ck.token, Version: ck.version, Kind: ck.kind,
 		Serials: serials, Bytes: written, Err: err,
 	}
-	// Return to rest at version v+1 and detach the context.
-	sh.ckptMu.Lock()
-	sh.ckpt = nil
-	sh.results[ck.token] = ck.res
-	sh.state.Store(packState(Rest, ck.version+1))
-	sh.ckptMu.Unlock()
+	// Apply the commit's completion effects first, then return to rest at
+	// version v+1, detach the context and publish the result in one step: a
+	// caller that sees the result (tryResult, waitForCommit) or the rest
+	// phase also sees the wait-flush -> rest event, the commit counters and
+	// the sessions' committed points.
 	ck.emitPhase(WaitFlush, Rest)
-	sh.tracer.Phase(ck.traceToken, uint64(ck.version), WaitFlush.String(), Rest.String())
-	ck.bumpTraced(Rest)
 	if err == nil && !ck.coordinated {
 		sh.metrics.commits.Inc()
 		sh.metrics.commitBytes.Add(uint64(written))
@@ -592,6 +577,12 @@ func (ck *checkpointCtx) waitFlush() {
 	if err != nil && !ck.coordinated {
 		sh.metrics.commitFailures.Inc()
 	}
+	sh.ckptMu.Lock()
+	sh.ckpt = nil
+	sh.results[ck.token] = ck.res
+	sh.state.Store(packState(Rest, ck.version+1))
+	sh.ckptMu.Unlock()
+	ck.bumpEpoch()
 	close(ck.done)
 	if ck.opts.OnDone != nil {
 		ck.opts.OnDone(ck.res)

@@ -152,7 +152,9 @@ func (sess *shardSession) tryInPlace(op *pendingOp, r findResult) (Status, bool)
 			return Error, false
 		}
 		rmw := sess.store.cfg.RMW
-		if r.rec.UpdateValue(func(cur []byte) []byte { return rmw.Update(cur, op.input) }) {
+		var ok bool
+		sess.rmwBuf, ok = r.rec.UpdateValue(sess.rmwBuf, func(cur []byte) []byte { return rmw.Update(cur, op.input) })
+		if ok {
 			return Ok, true
 		}
 		return Error, false

@@ -106,7 +106,7 @@ func (s *Store) recoverSingle() (*Store, *RecoveryReport, error) {
 	}
 	report := &RecoveryReport{}
 	for _, tok := range cands {
-		sh, serials, rerr := recoverShard(sc, 0, s.traceSuffix(0), s.metrics, &s.commitSeq, tok)
+		sh, serials, rerr := recoverShard(sc, 0, s.metrics, &s.commitSeq, tok)
 		if rerr != nil {
 			report.Skipped = append(report.Skipped, SkippedCommit{Token: tok, Reason: rerr.Error()})
 			s.metrics.recoverySkips.Inc()
@@ -172,7 +172,7 @@ candidates:
 				s.closeShards(i)
 				return nil, nil, err
 			}
-			sh, serials, rerr := recoverShard(sc, i, s.traceSuffix(i), s.metrics, &s.commitSeq, man.Token)
+			sh, serials, rerr := recoverShard(sc, i, s.metrics, &s.commitSeq, man.Token)
 			if rerr != nil {
 				s.closeShards(i)
 				clear(s.shards[:i])
@@ -287,12 +287,12 @@ func tokenSeq(token string) (uint64, bool) {
 // table covers. cfg must be the shard's private configuration, exactly as
 // for openShard. Any verification failure returns an error; the caller falls
 // back to an older commit.
-func recoverShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq *atomic.Uint64, token string) (*shard, map[string]uint64, error) {
+func recoverShard(cfg Config, id int, metrics storeMetrics, seq *atomic.Uint64, token string) (*shard, map[string]uint64, error) {
 	meta, err := loadMetadata(cfg.Checkpoints, token)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh, err := openShard(cfg, id, traceSuffix, metrics, seq)
+	sh, err := openShard(cfg, id, metrics, seq)
 	if err != nil {
 		return nil, nil, err
 	}

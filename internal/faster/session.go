@@ -148,6 +148,8 @@ type shardSession struct {
 	version uint32 // local view of the shard's version
 
 	pending []*pendingOp
+	// rmwBuf is the reused scratch in-place RMWs copy the current value into.
+	rmwBuf []byte
 	// compMu guards completed: async I/O completions are appended by pool
 	// workers and drained by CompletePending. A slice (not a channel) so a
 	// slow session can never block the shared I/O pool — that would deadlock
@@ -367,7 +369,6 @@ func (sess *shardSession) enterPrepare() {
 	sess.phase = Prepare
 	serial := sess.owner.serial.Load()
 	sh.flight.Emit(obs.FlightAckPrepare, sh.id, uint64(ck.version), ck.token, sess.owner.id, serial, 0)
-	sh.tracer.Session(ck.traceToken, sess.owner.id, "ack-prepare", uint64(ck.version), serial)
 	ck.ackPrepare(sess)
 }
 
@@ -386,7 +387,6 @@ func (sess *shardSession) enterInProgress() {
 	}
 	cpr := sess.owner.cprPoint(sess.version)
 	sh.flight.Emit(obs.FlightDemarcate, sh.id, uint64(ck.version), ck.token, sess.owner.id, cpr, 0)
-	sh.tracer.Session(ck.traceToken, sess.owner.id, "demarcate", uint64(ck.version), cpr)
 	ck.ackInProgress(sess, cpr)
 }
 

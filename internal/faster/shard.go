@@ -16,8 +16,7 @@ import (
 // coordinator drives all of them to a common version on Commit. A
 // single-shard store behaves exactly like the pre-partitioning code.
 type shard struct {
-	id          int
-	traceSuffix string // appended to trace tokens ("/s<i>"; empty when unsharded)
+	id int
 
 	cfg    Config
 	epochs *epoch.Manager
@@ -75,8 +74,7 @@ type shard struct {
 	restore      atomic.Pointer[restoreState]
 	restoreStats atomic.Pointer[RestoreShardStatus]
 
-	metrics storeMetrics // shared across shards: store-wide operation counts
-	tracer  *obs.Tracer
+	metrics storeMetrics        // shared across shards: store-wide operation counts
 	flight  *obs.FlightRecorder // nil-safe; events tagged with sh.id
 
 	// noteCommitted, when set, records a successful commit's session points
@@ -88,7 +86,7 @@ type shard struct {
 // openShard creates one shard at version 1. cfg must already be the shard's
 // private configuration (own device, namespaced checkpoints, prefixed
 // metrics view — see Store.shardConfig).
-func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq *atomic.Uint64) (*shard, error) {
+func openShard(cfg Config, id int, metrics storeMetrics, seq *atomic.Uint64) (*shard, error) {
 	em := epoch.New()
 	em.Instrument(cfg.Metrics)
 	em.InstrumentFlight(cfg.Flight, id)
@@ -113,18 +111,16 @@ func openShard(cfg Config, id int, traceSuffix string, metrics storeMetrics, seq
 		return nil, err
 	}
 	sh := &shard{
-		id:          id,
-		traceSuffix: traceSuffix,
-		cfg:         cfg,
-		epochs:      em,
-		log:         l,
-		index:       idx,
-		sessions:    make(map[string]*shardSession),
-		seq:         seq,
-		results:     make(map[string]CommitResult),
-		metrics:     metrics,
-		tracer:      cfg.Tracer,
-		flight:      cfg.Flight,
+		id:       id,
+		cfg:      cfg,
+		epochs:   em,
+		log:      l,
+		index:    idx,
+		sessions: make(map[string]*shardSession),
+		seq:      seq,
+		results:  make(map[string]CommitResult),
+		metrics:  metrics,
+		flight:   cfg.Flight,
 	}
 	cfg.Metrics.GaugeFunc("faster_version", func() int64 { return int64(sh.Version()) })
 	cfg.Metrics.GaugeFunc("faster_phase", func() int64 { return int64(sh.Phase()) })

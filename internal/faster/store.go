@@ -95,7 +95,8 @@ type RMWOps interface {
 	// Initial returns the value for an RMW on a missing key.
 	Initial(input []byte) []byte
 	// Update computes the new value from the current one. It must not retain
-	// cur or input.
+	// cur or input. cur is a private copy of the current value: Update may
+	// overwrite it and return it instead of allocating.
 	Update(cur, input []byte) []byte
 }
 
@@ -110,11 +111,10 @@ func (AddUint64) Initial(input []byte) []byte {
 	return out
 }
 
-// Update implements RMWOps.
+// Update implements RMWOps, summing into cur's storage.
 func (AddUint64) Update(cur, input []byte) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(cur)+binary.LittleEndian.Uint64(input))
-	return out
+	binary.LittleEndian.PutUint64(cur, binary.LittleEndian.Uint64(cur)+binary.LittleEndian.Uint64(input))
+	return cur[:8]
 }
 
 // Config parameterizes a Store.
@@ -161,9 +161,6 @@ type Config struct {
 	// obs.NewNop() to disable collection. Multi-shard stores expose per-shard
 	// infrastructure metrics under a "shard<i>_" prefix.
 	Metrics *obs.Registry
-	// Tracer records checkpoint state-machine activity. Defaults to a fresh
-	// tracer with obs.DefaultTracerCapacity events.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, records the causal commit-lifecycle event stream
 	// (epoch bumps, phase transitions, artifact writes, log flushes, ...) for
 	// every shard. Nil disables the flight recorder at zero hot-path cost.
@@ -223,9 +220,6 @@ func (c *Config) fill() error {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
 	}
 	return nil
 }
@@ -312,7 +306,6 @@ type Store struct {
 	artifactHooks []func(CommitResult) (string, []byte, error)
 
 	metrics storeMetrics
-	tracer  *obs.Tracer
 
 	// report describes how the store was recovered (nil when opened fresh).
 	report *RecoveryReport
@@ -333,7 +326,6 @@ func newStore(cfg Config) *Store {
 		recoveredSerials: make(map[string]uint64),
 		results:          make(map[string]CommitResult),
 		metrics:          newStoreMetrics(cfg.Metrics),
-		tracer:           cfg.Tracer,
 	}
 	if n := cfg.Shards; n > 1 && n&(n-1) == 0 {
 		s.shardShift = 64 - uint(bits.Len(uint(n))-1)
@@ -386,15 +378,6 @@ func shardBuckets(total, n int) int {
 	return per
 }
 
-// traceSuffix distinguishes per-shard checkpoint state machines in the
-// shared tracer; a single-shard store traces under the bare token.
-func (s *Store) traceSuffix(i int) string {
-	if s.cfg.Shards == 1 {
-		return ""
-	}
-	return fmt.Sprintf("/s%d", i)
-}
-
 // Open creates a Store ready for use at version 1.
 func Open(cfg Config) (*Store, error) {
 	if err := cfg.fill(); err != nil {
@@ -405,7 +388,7 @@ func Open(cfg Config) (*Store, error) {
 		sc, err := s.shardConfig(i)
 		if err == nil {
 			var sh *shard
-			sh, err = openShard(sc, i, s.traceSuffix(i), s.metrics, &s.commitSeq)
+			sh, err = openShard(sc, i, s.metrics, &s.commitSeq)
 			if err == nil {
 				s.shards = append(s.shards, sh)
 				continue
@@ -521,9 +504,6 @@ func (s *Store) Epochs() *epoch.Manager { return s.shards[0].epochs }
 // Metrics returns the store's metrics registry (never nil after Open, though
 // it may be the nop registry).
 func (s *Store) Metrics() *obs.Registry { return s.cfg.Metrics }
-
-// Tracer returns the store's CPR phase tracer.
-func (s *Store) Tracer() *obs.Tracer { return s.tracer }
 
 // Flight returns the store's flight recorder (nil when not configured).
 func (s *Store) Flight() *obs.FlightRecorder { return s.cfg.Flight }

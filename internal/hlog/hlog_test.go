@@ -126,8 +126,10 @@ func TestUpdateValueRMW(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := l.Record(addr)
+	var buf []byte
 	for i := 0; i < 10; i++ {
-		ok := rec.UpdateValue(func(cur []byte) []byte {
+		var ok bool
+		buf, ok = rec.UpdateValue(buf, func(cur []byte) []byte {
 			n := binary.LittleEndian.Uint64(cur)
 			var out [8]byte
 			binary.LittleEndian.PutUint64(out[:], n+5)
@@ -159,8 +161,9 @@ func TestConcurrentRMWCounter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := l.Record(addr)
+			var buf []byte
 			for j := 0; j < perThread; j++ {
-				rec.UpdateValue(func(cur []byte) []byte {
+				buf, _ = rec.UpdateValue(buf, func(cur []byte) []byte {
 					n := binary.LittleEndian.Uint64(cur)
 					var out [8]byte
 					binary.LittleEndian.PutUint64(out[:], n+1)

@@ -239,22 +239,23 @@ func (r RecordRef) SetValue(val []byte) bool {
 	return true
 }
 
-// UpdateValue runs fn on a private copy of the value under the record latch
-// and stores the result in place. It returns false if the result exceeds the
-// value capacity (caller must then fall back to read-copy-update).
-func (r RecordRef) UpdateValue(fn func(cur []byte) []byte) bool {
+// UpdateValue runs fn on a private copy of the value, built in buf, under
+// the record latch and stores the result in place. It returns buf (grown as
+// needed) for the caller to reuse, and false if the result exceeds the value
+// capacity (caller must then fall back to read-copy-update).
+func (r RecordRef) UpdateValue(buf []byte, fn func(cur []byte) []byte) ([]byte, bool) {
 	r.Lock()
 	k, v, c := splitLens(r.lens())
-	cur := appendWordsAsBytes(nil, r.valueWords(), v)
+	cur := appendWordsAsBytes(buf[:0], r.valueWords(), v)
 	next := fn(cur)
 	if len(next) > c {
 		r.Unlock()
-		return false
+		return cur, false
 	}
 	storeBytesAsWords(r.valueWords(), next)
 	atomic.StoreUint64(&r.words[1], makeLens(k, len(next), c))
 	r.Unlock()
-	return true
+	return cur, true
 }
 
 // initRecord fills a freshly allocated record region. The region is not yet

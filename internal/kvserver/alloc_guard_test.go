@@ -155,3 +155,54 @@ func TestServingLoopAllocFree(t *testing.T) {
 		t.Fatalf("steady-state serving loop: %.2f allocs/batch of %d GETs, want 0", allocs, depth)
 	}
 }
+
+// TestSingleOpFramesAllocFree: GET-hit, SET, RMW and DELETE single-op frames
+// run through dispatch as one-op batches with their replies built in the
+// reused reply buffer, so each allocates nothing in steady state.
+func TestSingleOpFramesAllocFree(t *testing.T) {
+	store, err := faster.Open(faster.Config{IndexBuckets: 1 << 10, PageBits: 16, MemPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := NewServer(store)
+	sess := store.StartSession()
+	defer sess.StopSession()
+	key, val := []byte("alloc-key"), u64(7)
+	if st := sess.Upsert(key, val); st != faster.Ok {
+		t.Fatalf("preload: %v", st)
+	}
+
+	cs := &connState{conn: nopConn{}, bw: bufio.NewWriterSize(io.Discard, srv.coalesceBytes())}
+	cs.readCB = func(v []byte, st faster.Status) {
+		cs.pendVal = append(cs.pendVal[:0], v...)
+		cs.pendSt = st
+		cs.pendDone = true
+	}
+	var at obs.ActiveTrace
+	var tc obs.TraceContext
+	for _, fr := range []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"GET-hit", OpGet, appendString(nil, key)},
+		{"SET", OpSet, appendValue(appendString(nil, key), val)},
+		{"RMW", OpRMW, appendValue(appendString(nil, key), u64(1))},
+		{"DELETE", OpDelete, appendString(nil, key)},
+	} {
+		bad := false
+		allocs := testing.AllocsPerRun(300, func() {
+			if err := srv.dispatch(cs, sess, fr.op, tc, fr.payload, &at); err != nil {
+				bad = true
+			}
+			cs.bw.Reset(io.Discard)
+		})
+		if bad {
+			t.Fatalf("%s: dispatch failed inside guard loop", fr.name)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s single-op frame: %.2f allocs/op, want 0", fr.name, allocs)
+		}
+	}
+}

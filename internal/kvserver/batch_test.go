@@ -302,3 +302,106 @@ func (f *fakeReplica) RecoveredPoint(string) uint64 { return 0 }
 func (f *fakeReplica) Upstream() string             { return "primary.example:9" }
 func (f *fakeReplica) Store() *faster.Store         { return f.store }
 func (f *fakeReplica) ReplStats() *ReplStats        { return &ReplStats{} }
+
+// TestSingleOpMatchesOneEntryBatch sends one op sequence as single-op frames
+// to one server and as one-entry BATCH frames to an identically loaded other:
+// both run through the same per-op executor, so statuses, values and serials
+// must match op for op — including a NotFound DELETE and a cold GET that goes
+// pending to the device.
+func TestSingleOpMatchesOneEntryBatch(t *testing.T) {
+	type step struct {
+		op       byte
+		key, val []byte
+	}
+	cold := u64(0) // loaded first; the rest of the load evicts it to the device
+	steps := []step{
+		{OpSet, []byte("k1"), []byte("v1")},
+		{OpGet, []byte("k1"), nil},
+		{OpRMW, []byte("k2"), u64(5)},
+		{OpRMW, []byte("k2"), u64(7)},
+		{OpGet, []byte("k2"), nil},
+		{OpGet, []byte("absent"), nil},
+		{OpDelete, []byte("k1"), nil},
+		{OpDelete, []byte("absent"), nil},
+		{OpGet, cold, nil},
+		{OpGet, []byte("k1"), nil},
+	}
+	run := func(batch bool) []BatchResult {
+		_, addr, store := startServer(t, smallCfg())
+		load := store.StartSession()
+		for i := uint64(0); i < 4000; i++ {
+			if st := load.Upsert(u64(i), bytes.Repeat(u64(i), 32)); st == faster.Pending {
+				load.CompletePending(true)
+			}
+		}
+		load.StopSession()
+		pendingBefore := store.Metrics().Snapshot().Counters["faster_pending_ops_total"]
+
+		c, err := Dial(addr, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var out []BatchResult
+		for _, st := range steps {
+			r := BatchResult{Op: st.op}
+			if batch {
+				p := c.Pipeline()
+				switch st.op {
+				case OpGet:
+					p.Get(st.key)
+				case OpSet:
+					p.Set(st.key, st.val)
+				case OpRMW:
+					p.RMW(st.key, st.val)
+				case OpDelete:
+					p.Delete(st.key)
+				}
+				res, err := p.Flush()
+				if err != nil || len(res) != 1 {
+					t.Fatalf("batch %d: %d results, err %v", st.op, len(res), err)
+				}
+				r.Status, r.Serial = res[0].Status, res[0].Serial
+				r.Value = append([]byte(nil), res[0].Value...)
+			} else {
+				payload := appendString(nil, st.key)
+				if st.val != nil {
+					payload = appendValue(payload, st.val)
+				}
+				status, resp, err := c.call(st.op, payload)
+				if err != nil {
+					t.Fatalf("op %d: %v", st.op, err)
+				}
+				r.Status = status
+				if st.op != OpGet {
+					r.Serial, _, _ = takeU64(resp)
+				} else if status == StatusOK {
+					v, _, _ := takeValue(resp)
+					r.Value = append([]byte(nil), v...)
+				}
+			}
+			out = append(out, r)
+		}
+		if n := store.Metrics().Snapshot().Counters["faster_pending_ops_total"]; n <= pendingBefore {
+			t.Fatalf("batch=%v: the cold GET never went pending", batch)
+		}
+		return out
+	}
+	single, batched := run(false), run(true)
+	for i := range steps {
+		s, b := single[i], batched[i]
+		if s.Status != b.Status || s.Serial != b.Serial || !bytes.Equal(s.Value, b.Value) {
+			t.Fatalf("step %d (op %d): single-op %+v, one-entry batch %+v", i, steps[i].op, s, b)
+		}
+	}
+	want := []byte{StatusOK, StatusOK, StatusOK, StatusOK, StatusOK, StatusNotFound,
+		StatusOK, StatusNotFound, StatusOK, StatusNotFound}
+	for i, r := range single {
+		if r.Status != want[i] {
+			t.Fatalf("step %d status = %d, want %d", i, r.Status, want[i])
+		}
+	}
+	if !bytes.Equal(single[8].Value, bytes.Repeat(cold, 32)) {
+		t.Fatalf("cold GET value = %x", single[8].Value)
+	}
+}

@@ -290,7 +290,7 @@ type connState struct {
 	bw   *bufio.Writer
 
 	frame []byte // reusable frame read buffer (readFrameBuf)
-	reply []byte // reusable batch reply build buffer
+	reply []byte // reusable reply build buffer (single-op and batch frames)
 
 	// unflushed counts per-op replies written into bw since the last flush
 	// (the op-count half of the coalescing cap; batch frames count each
@@ -298,8 +298,7 @@ type connState struct {
 	unflushed int
 
 	// Pending cold-read completion scratch: readCB (created once per
-	// connection) copies the value here, execBatch and the single-op GET
-	// path consume it.
+	// connection) copies the value here and execOp consumes it.
 	pendVal  []byte
 	pendSt   faster.Status
 	pendDone bool
@@ -494,13 +493,29 @@ func (s *Server) dispatch(cs *connState, sess *faster.Session, op byte, tc obs.T
 	return err
 }
 
-// respond writes one response frame into the coalescing buffer, recording it
-// as a resp-write span.
-func (s *Server) respond(cs *connState, at *obs.ActiveTrace, op byte, resp []byte) error {
+// replyHdr is the response frame prefix reserved in place by beginReply:
+// u32 frame len | u8 opcode.
+const replyHdr = 5
+
+// beginReply starts a response frame in the connection's reusable reply
+// buffer: the header is reserved in place (respond patches it) and status is
+// the first payload byte.
+func (cs *connState) beginReply(status byte) []byte {
+	return append(cs.reply[:0], 0, 0, 0, 0, 0, status)
+}
+
+// respond finishes a frame started by beginReply and writes it into the
+// coalescing buffer as one contiguous write (a separate stack header would
+// escape through the io.Writer and allocate), recording it as a resp-write
+// span.
+func (s *Server) respond(cs *connState, at *obs.ActiveTrace, op byte, frame []byte) error {
 	t0 := time.Now().UnixNano()
-	err := writeFrame(cs.bw, op, resp)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	frame[4] = op
+	_, err := cs.bw.Write(frame)
+	cs.reply = frame[:0]
 	cs.unflushed++
-	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(resp)), 0, "")
+	at.Span(obs.SpanRespWrite, t0, time.Now().UnixNano(), uint64(len(frame)-replyHdr), 0, "")
 	return err
 }
 
@@ -511,71 +526,34 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 	case OpBatch:
 		return s.execBatch(cs, store, om, sess, payload, at, tRecv)
 
-	case OpGet:
-		key, _, err := takeString(payload)
-		if err != nil {
-			return err
-		}
-		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		out, status := s.readOne(cs, sess, key)
-		tExec := time.Now().UnixNano()
-		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, OpGet, appendValue([]byte{status}, out))
-
-	case OpSet, OpRMW:
+	case OpGet, OpSet, OpRMW, OpDelete:
 		key, rest, err := takeString(payload)
 		if err != nil {
 			return err
 		}
-		val, _, err := takeValue(rest)
-		if err != nil {
-			return err
+		var val []byte
+		if op == OpSet || op == OpRMW {
+			if val, _, err = takeValue(rest); err != nil {
+				return err
+			}
 		}
 		tDec := time.Now().UnixNano()
 		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		var st faster.Status
-		if op == OpSet {
-			st = sess.Upsert(key, val)
+		// A single-op frame is a one-op batch: the same session bracket and
+		// per-op code, with the reply built in the reused reply buffer.
+		sess.BeginBatch()
+		status, out, serial := s.execOp(cs, sess, op, key, val)
+		reply := cs.beginReply(status)
+		if op == OpGet {
+			reply = appendValue(reply, out)
 		} else {
-			st = sess.RMW(key, val)
+			reply = appendU64(reply, serial)
 		}
-		if st == faster.Pending {
-			sess.CompletePending(true)
-			st = faster.Ok
-		}
-		status := StatusOK
-		if st != faster.Ok {
-			status = StatusError
-		}
+		sess.EndBatch()
 		tExec := time.Now().UnixNano()
 		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
 		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, op, appendU64([]byte{status}, sess.Serial()))
-
-	case OpDelete:
-		key, _, err := takeString(payload)
-		if err != nil {
-			return err
-		}
-		tDec := time.Now().UnixNano()
-		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		st := sess.Delete(key)
-		if st == faster.Pending {
-			sess.CompletePending(true)
-			st = faster.Ok
-		}
-		status := StatusOK
-		if st == faster.Error {
-			status = StatusError
-		} else if st == faster.NotFound {
-			status = StatusNotFound
-		}
-		tExec := time.Now().UnixNano()
-		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
-		om.execNs.ObserveValue(uint64(tExec - tDec))
-		return s.respond(cs, at, OpDelete, appendU64([]byte{status}, sess.Serial()))
+		return s.respond(cs, at, op, reply)
 
 	case OpCommit:
 		if len(payload) < 1 {
@@ -591,7 +569,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 			// Piggyback on the commit already in flight.
 			token = ""
 		} else if err != nil {
-			return s.respond(cs, at, OpCommit, appendU64([]byte{StatusError}, 0))
+			return s.respond(cs, at, OpCommit, appendU64(cs.beginReply(StatusError), 0))
 		}
 		// Drive until some commit completes and this session is at rest.
 		tWait := time.Now().UnixNano()
@@ -620,7 +598,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		}
 		at.Span(obs.SpanDurWait, tWait, tDone, point, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		return s.respond(cs, at, OpCommit, appendU64([]byte{status}, point))
+		return s.respond(cs, at, OpCommit, appendU64(cs.beginReply(status), point))
 
 	case OpWaitDurable:
 		// Block until the session's committed point t_i covers everything this
@@ -639,7 +617,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 				// commit may never arrive. Either way the client gets a
 				// complete, well-formed error frame, never a torn one.
 				return s.respond(cs, at, OpWaitDurable,
-					appendString(appendU64([]byte{StatusError}, sess.CommittedSerial()), nil))
+					appendString(appendU64(cs.beginReply(StatusError), sess.CommittedSerial()), nil))
 			}
 			sess.Refresh()
 			sess.CompletePending(false)
@@ -649,7 +627,7 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		token := sess.CommittedToken()
 		at.Span(obs.SpanDurWait, tWait, tDone, target, sess.CommittedSerial(), token)
 		om.durwaitNs.ObserveValue(uint64(tDone - tWait))
-		resp := appendU64([]byte{StatusOK}, sess.CommittedSerial())
+		resp := appendU64(cs.beginReply(StatusOK), sess.CommittedSerial())
 		resp = appendString(resp, []byte(token))
 		return s.respond(cs, at, OpWaitDurable, resp)
 
@@ -668,26 +646,49 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 	return fmt.Errorf("unknown opcode %d", op)
 }
 
-// readOne serves one GET on the connection's session, delivering cold-read
-// completions through the connection's persistent callback scratch so the
-// steady-state path allocates nothing.
-func (s *Server) readOne(cs *connState, sess *faster.Session, key []byte) ([]byte, byte) {
-	cs.pendDone = false
-	val, st := sess.Read(key, cs.readCB)
+// execOp runs one GET, SET, RMW or DELETE on the connection's session — the
+// per-op code of single-op and BATCH frames alike. It returns the reply
+// status plus, for a GET, the value (valid until the session's next
+// operation) or, for a write, the serial the session assigned it. Cold-read
+// completions arrive through the connection's persistent callback scratch,
+// so the steady-state path allocates nothing.
+func (s *Server) execOp(cs *connState, sess *faster.Session, op byte, key, val []byte) (status byte, out []byte, serial uint64) {
+	var st faster.Status
+	switch op {
+	case OpGet:
+		cs.pendDone = false
+		out, st = sess.Read(key, cs.readCB)
+		if st == faster.Pending {
+			sess.CompletePending(true)
+			if !cs.pendDone {
+				return StatusError, nil, 0
+			}
+			out, st = cs.pendVal, cs.pendSt
+		}
+		return wireStatus(st), out, 0
+	case OpSet:
+		st = sess.Upsert(key, val)
+	case OpRMW:
+		st = sess.RMW(key, val)
+	case OpDelete:
+		st = sess.Delete(key)
+	}
 	if st == faster.Pending {
 		sess.CompletePending(true)
-		if !cs.pendDone {
-			return nil, StatusError
-		}
-		val, st = cs.pendVal, cs.pendSt
+		st = faster.Ok
 	}
+	return wireStatus(st), nil, sess.Serial()
+}
+
+// wireStatus maps a store status to its reply status byte.
+func wireStatus(st faster.Status) byte {
 	switch st {
 	case faster.Ok:
-		return val, StatusOK
+		return StatusOK
 	case faster.NotFound:
-		return nil, StatusNotFound
+		return StatusNotFound
 	}
-	return nil, StatusError
+	return StatusError
 }
 
 // execBatch serves one BATCH frame: ops are decoded arena-style from the
@@ -719,39 +720,11 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 			return err
 		}
 		t0 := time.Now().UnixNano()
-		switch op {
-		case OpGet:
-			v, status := s.readOne(cs, sess, key)
+		status, v, serial := s.execOp(cs, sess, op, key, val)
+		if op == OpGet {
 			reply = appendBatchValueResult(reply, seq, status, v)
-		case OpSet, OpRMW:
-			var st faster.Status
-			if op == OpSet {
-				st = sess.Upsert(key, val)
-			} else {
-				st = sess.RMW(key, val)
-			}
-			if st == faster.Pending {
-				sess.CompletePending(true)
-				st = faster.Ok
-			}
-			status := StatusOK
-			if st != faster.Ok {
-				status = StatusError
-			}
-			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
-		case OpDelete:
-			st := sess.Delete(key)
-			if st == faster.Pending {
-				sess.CompletePending(true)
-				st = faster.Ok
-			}
-			status := StatusOK
-			if st == faster.Error {
-				status = StatusError
-			} else if st == faster.NotFound {
-				status = StatusNotFound
-			}
-			reply = appendBatchSerialResult(reply, seq, status, sess.Serial())
+		} else {
+			reply = appendBatchSerialResult(reply, seq, status, serial)
 		}
 		t1 := time.Now().UnixNano()
 		om.execNs.ObserveValue(uint64(t1 - t0))
@@ -936,13 +909,7 @@ func (s *Server) dispatchReplica(conn net.Conn, rb ReplicaBackend, op byte, payl
 		if err != nil {
 			return err
 		}
-		val, found, err := rb.Read(key)
-		status := StatusOK
-		if err != nil {
-			status, val = StatusError, nil
-		} else if !found {
-			status, val = StatusNotFound, nil
-		}
+		status, val := replicaRead(rb, key)
 		return writeFrame(conn, OpGet, appendValue([]byte{status}, val))
 	case OpBatch:
 		return s.replicaBatch(conn, rb, payload)
@@ -991,16 +958,23 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 		if err != nil {
 			return err
 		}
-		val, found, rerr := rb.Read(key)
-		status := StatusOK
-		if rerr != nil {
-			status, val = StatusError, nil
-		} else if !found {
-			status, val = StatusNotFound, nil
-		}
+		status, val := replicaRead(rb, key)
 		frame = appendBatchValueResult(frame, seq, status, val)
 	}
 	finishBatchReply(frame, r.count)
 	_, err = conn.Write(frame)
 	return err
+}
+
+// replicaRead serves one GET from the replica's installed prefix, returning
+// the reply status and the value (nil unless StatusOK).
+func replicaRead(rb ReplicaBackend, key []byte) (byte, []byte) {
+	val, found, err := rb.Read(key)
+	switch {
+	case err != nil:
+		return StatusError, nil
+	case !found:
+		return StatusNotFound, nil
+	}
+	return StatusOK, val
 }

@@ -22,10 +22,11 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// TimelineHandler serves the tracer's phase timeline as JSON.
-func TimelineHandler(t *Tracer) http.Handler {
+// TimelineHandler serves the CPR phase timeline derived from the flight
+// recorder's events as JSON.
+func TimelineHandler(f *FlightRecorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, t.Timeline())
+		writeJSON(w, f.Timeline())
 	})
 }
 
@@ -60,19 +61,19 @@ func TraceHandler(rt *RequestTracer) http.Handler {
 //
 //	/metrics        registry snapshot (expvar-style JSON)
 //	/metrics.prom   the same registry in Prometheus text exposition format
-//	/timeline       CPR phase timeline (events + spans)
+//	/timeline       CPR phase timeline derived from the flight recorder
 //	/flight         flight-recorder timeline (?token=<commit> filters)
 //	/trace          slow-request span trees (?n=<count> bounds)
 //	/debug/pprof/*  the standard Go profiler endpoints
 //
 // fr and rt may be nil (the corresponding endpoints then report empty
-// timelines). The mux holds no locks between requests; every response is a
+// timelines: a store without a flight recorder has no phase timeline). The mux holds no locks between requests; every response is a
 // fresh snapshot.
-func NewDebugMux(reg *Registry, tr *Tracer, fr *FlightRecorder, rt *RequestTracer) *http.ServeMux {
+func NewDebugMux(reg *Registry, fr *FlightRecorder, rt *RequestTracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
 	mux.Handle("/metrics.prom", PrometheusHandler(reg))
-	mux.Handle("/timeline", TimelineHandler(tr))
+	mux.Handle("/timeline", TimelineHandler(fr))
 	mux.Handle("/flight", FlightHandler(fr))
 	mux.Handle("/trace", TraceHandler(rt))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

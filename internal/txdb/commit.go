@@ -110,8 +110,7 @@ func (db *DB) Commit(onDone func(CommitResult)) (string, error) {
 	db.state.Store(packState(Prepare, ck.version))
 	db.cfg.Flight.Emit(obs.FlightCommitStart, -1, ck.version, ck.token, "", 0, 0)
 	ck.emitPhase(Rest, Prepare)
-	db.tracer.Phase(ck.token, ck.version, Rest.String(), Prepare.String())
-	ck.bumpTraced(Prepare)
+	ck.bumpEpoch()
 	db.ckptMu.Unlock()
 	db.workerMu.Unlock()
 	ck.coord.Seal()
@@ -146,7 +145,7 @@ func (db *DB) WaitForCommit(token string) CommitResult {
 
 func (ck *commitCtx) ackPrepare(w *Worker) {
 	ck.db.cfg.Flight.Emit(obs.FlightAckPrepare, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), w.seq, 0)
+		w.name, w.seq, 0)
 	ck.coord.AckPrepare(w)
 }
 
@@ -157,26 +156,23 @@ func (ck *commitCtx) emitPhase(from, to Phase) {
 		uint64(from), uint64(to))
 }
 
-// bumpTraced bumps the epoch for a phase publication, recording the drain
-// latency (time until every registered thread observed the phase).
-func (ck *commitCtx) bumpTraced(published Phase) {
-	db := ck.db
-	t0 := time.Now()
-	db.epochs.BumpEpoch(func() {
-		db.tracer.Drain(ck.token, published.String(), ck.version, time.Since(t0))
-	})
+// bumpEpoch bumps the epoch for a phase publication. The no-op trigger
+// action makes the epoch manager measure the drain (time until every
+// registered thread observed the phase) into its drain histogram and the
+// flight recorder's epoch-drain event.
+func (ck *commitCtx) bumpEpoch() {
+	ck.db.epochs.BumpEpoch(func() {})
 }
 
 func (ck *commitCtx) advanceToInProgress() {
 	ck.db.state.Store(packState(InProgress, ck.version))
 	ck.emitPhase(Prepare, InProgress)
-	ck.db.tracer.Phase(ck.token, ck.version, Prepare.String(), InProgress.String())
-	ck.bumpTraced(InProgress)
+	ck.bumpEpoch()
 }
 
 func (ck *commitCtx) ackInProgress(w *Worker, seq uint64) {
 	ck.db.cfg.Flight.Emit(obs.FlightDemarcate, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), seq, 0)
+		w.name, seq, 0)
 	ck.coord.Demarcate(w, seq)
 }
 
@@ -189,15 +185,13 @@ func (ck *commitCtx) maybeStartWaitFlush() {
 	}
 	ck.db.state.Store(packState(WaitFlush, ck.version))
 	ck.emitPhase(InProgress, WaitFlush)
-	ck.db.tracer.Phase(ck.token, ck.version, InProgress.String(), WaitFlush.String())
 	go ck.waitFlush()
 }
 
 func (ck *commitCtx) dropParticipant(w *Worker) {
 	sameVersion := w.version == ck.version
 	ck.db.cfg.Flight.Emit(obs.FlightDrop, -1, ck.version, ck.token,
-		fmt.Sprintf("worker-%p", w), w.seq, 0)
-	ck.db.tracer.Session(ck.token, fmt.Sprintf("worker-%p", w), "drop", ck.version, w.seq)
+		w.name, w.seq, 0)
 	ck.coord.Drop(w,
 		sameVersion && w.phase >= Prepare,
 		sameVersion && w.phase >= InProgress,
@@ -240,18 +234,12 @@ func (ck *commitCtx) waitFlush() {
 
 	ck.res = CommitResult{Token: ck.token, Version: ck.version, Seqs: ck.coord.Points(),
 		Bytes: int64(len(buf)), Delta: delta, Err: err}
-	db.ckptMu.Lock()
-	db.ckpt = nil
-	db.results[ck.token] = ck.res
-	db.state.Store(packState(Rest, ck.version+1))
-	db.ckptMu.Unlock()
+	// Completion effects first, then return to rest and publish the result
+	// in one step: a caller that sees the result also sees the effects.
 	ck.emitPhase(WaitFlush, Rest)
-	db.tracer.Phase(ck.token, ck.version, WaitFlush.String(), Rest.String())
-	ck.bumpTraced(Rest)
 	if err != nil {
 		db.cfg.Flight.Emit(obs.FlightCommitFail, -1, ck.version, ck.token, "", 0, 0)
-	}
-	if err == nil {
+	} else {
 		db.cfg.Flight.Emit(obs.FlightCommitDone, -1, ck.version, ck.token, "",
 			uint64(len(buf)), 0)
 		db.metrics.commits.Inc()
@@ -261,6 +249,12 @@ func (ck *commitCtx) waitFlush() {
 		}
 		db.metrics.commitNs.Observe(time.Since(ck.started))
 	}
+	db.ckptMu.Lock()
+	db.ckpt = nil
+	db.results[ck.token] = ck.res
+	db.state.Store(packState(Rest, ck.version+1))
+	db.ckptMu.Unlock()
+	ck.bumpEpoch()
 	close(ck.done)
 	if ck.onDone != nil {
 		ck.onDone(ck.res)

@@ -146,9 +146,6 @@ type Config struct {
 	// manager's). Defaults to a fresh enabled registry; pass obs.NewNop() to
 	// disable collection.
 	Metrics *obs.Registry
-	// Tracer records commit state-machine activity. Defaults to a fresh
-	// tracer with obs.DefaultTracerCapacity events.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, receives commit-lifecycle flight events (shard -1:
 	// the database is a single CPR domain). Nil disables recording.
 	Flight *obs.FlightRecorder
@@ -175,9 +172,6 @@ func (c *Config) fill() error {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
 	}
 	return nil
 }
@@ -246,7 +240,6 @@ type DB struct {
 	lastCommitToken string
 
 	metrics dbMetrics
-	tracer  *obs.Tracer
 }
 
 func packState(p Phase, v uint64) uint64   { return uint64(p)<<56 | v }
@@ -264,7 +257,6 @@ func Open(cfg Config) (*DB, error) {
 		workers: make(map[*Worker]bool),
 		results: make(map[string]CommitResult),
 		metrics: newDBMetrics(cfg.Metrics),
-		tracer:  cfg.Tracer,
 	}
 	db.epochs.Instrument(cfg.Metrics)
 	db.epochs.InstrumentFlight(cfg.Flight, -1)
@@ -317,9 +309,6 @@ func (db *DB) Engine() EngineKind { return db.cfg.Engine }
 
 // Metrics returns the database's metrics registry (never nil after Open).
 func (db *DB) Metrics() *obs.Registry { return db.cfg.Metrics }
-
-// Tracer returns the database's commit phase tracer.
-func (db *DB) Tracer() *obs.Tracer { return db.tracer }
 
 // Stats materializes the database-wide transaction counters from the
 // registry. Workers flush their local tallies on refresh and close, so the

@@ -1,6 +1,7 @@
 package txdb
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -86,6 +87,7 @@ func (s Stats) Sub(prev Stats) Stats {
 type Worker struct {
 	db    *DB
 	guard *epoch.Guard
+	name  string // flight-event session label, fixed at registration
 
 	phase   Phase
 	version uint64
@@ -120,6 +122,7 @@ func (db *DB) NewWorker() *Worker {
 		db.ckptMu.Lock()
 		if db.ckpt == nil {
 			w := &Worker{db: db, guard: db.epochs.Acquire()}
+			w.name = fmt.Sprintf("worker-%p", w)
 			w.phase, w.version = unpackState(db.state.Load())
 			db.workers[w] = true
 			db.ckptMu.Unlock()
