@@ -19,6 +19,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("experiment %s not registered", id)
 	}
 	cfg := bench.Config{Threads: 2, Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
+	cfg.Fill()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(cfg, io.Discard); err != nil {

@@ -47,6 +47,7 @@ func main() {
 	}
 
 	cfg := bench.Config{Threads: *threads, Seconds: *seconds, Scale: *scale, TimePoints: *tp, Shards: *shards, Addr: *srvAddr}
+	cfg.Fill()
 	var ids []string
 	if *exp == "all" {
 		for _, e := range bench.All() {

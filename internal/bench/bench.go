@@ -36,7 +36,10 @@ type Config struct {
 	Addr string
 }
 
-func (c *Config) fill() {
+// Fill sets every unset field to its default. cprbench fills its
+// configuration once before running any experiment; experiments read the
+// fields as given, so an unfilled zero Threads runs no workers.
+func (c *Config) Fill() {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}

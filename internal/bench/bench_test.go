@@ -14,7 +14,9 @@ import (
 // tinyCfg is a smoke-test configuration: every experiment must run end to
 // end in well under a second of measured time.
 func tinyCfg() Config {
-	return Config{Threads: 2, Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
+	c := Config{Threads: 2, Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
+	c.Fill()
+	return c
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -124,6 +126,24 @@ func TestRunFasterBasics(t *testing.T) {
 	}
 	if len(sum.Series) == 0 {
 		t.Fatal("no time series")
+	}
+}
+
+// TestFillDefaultThreads: a configuration without Threads, filled the way
+// cprbench fills it, runs workers in the paper-figure FASTER experiments,
+// which read Threads as given.
+func TestFillDefaultThreads(t *testing.T) {
+	cfg := Config{Seconds: 0.05, Scale: 0.02, TimePoints: 0.05}
+	cfg.Fill()
+	if cfg.Threads <= 0 {
+		t.Fatalf("filled Threads = %d", cfg.Threads)
+	}
+	sum, err := RunFaster(fasterBase(cfg, 0.5, true, faster.FoldOver))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Mops <= 0 {
+		t.Fatalf("throughput = %v with default threads", sum.Mops)
 	}
 }
 

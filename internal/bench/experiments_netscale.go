@@ -32,7 +32,6 @@ func init() {
 }
 
 func runNetScale(cfg Config, w io.Writer) error {
-	cfg.fill()
 	duration := cfg.Seconds
 	keys := uint64(scaled(100_000, cfg.Scale))
 	connCounts := []int{1, 2, 4}

@@ -18,7 +18,6 @@ func init() {
 		Title: "Shard-per-core scaling, YCSB 50:50 zipfian, fixed threads",
 		Paper: "Sec. 7.3 (partitioned variant)",
 		Run: func(cfg Config, w io.Writer) error {
-			cfg.fill()
 			fmt.Fprintf(w, "%-8s %12s %12s %12s\n", "shards", "Mops/sec", "speedup", "lat(us)")
 			var base float64
 			for _, n := range shardSweep(cfg.Threads) {

@@ -33,7 +33,6 @@ func init() {
 }
 
 func runTailTrace(cfg Config, w io.Writer) error {
-	cfg.fill()
 	duration := cfg.Seconds
 	if cfg.Addr != "" {
 		// External mode: drive a live cprserver instead of an in-process one

@@ -1,6 +1,7 @@
 package faster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -681,14 +682,11 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 		slot := idx.findOrCreateSlot(h)
 		slot.Store(tagOf(h) | uint64(64+i*32))
 	}
-	store := storage.NewMemCheckpointStore()
-	w, _ := store.Create("idx")
-	if err := idx.writeTo(w); err != nil {
+	var buf bytes.Buffer
+	if err := idx.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
-	r, _ := store.Open("idx")
-	idx2, err := readIndex(r)
+	idx2, err := readIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,6 +698,40 @@ func TestIndexCheckpointRoundTrip(t *testing.T) {
 		}
 		if entryAddr(s1.Load()) != entryAddr(s2.Load()) {
 			t.Fatalf("key %d addr %d != %d", i, entryAddr(s1.Load()), entryAddr(s2.Load()))
+		}
+	}
+}
+
+// TestIndexCheckpointTruncated: every truncation of an index checkpoint, and
+// a header claiming more buckets than the payload holds, fails with an error
+// instead of panicking or allocating the claimed size.
+func TestIndexCheckpointTruncated(t *testing.T) {
+	idx, err := newIndex(1<<4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ { // enough keys to spill into overflow buckets
+		h := uint64(i) * 0x9E3779B97F4A7C15
+		idx.findOrCreateSlot(h).Store(tagOf(h) | uint64(64+i*32))
+	}
+	var buf bytes.Buffer
+	if err := idx.writeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if idx.overflowNext.Load() < 2 {
+		t.Fatal("index never used an overflow bucket")
+	}
+	for n := 0; n < len(data); n++ {
+		if _, err := readIndex(data[:n]); err == nil {
+			t.Fatalf("index truncated to %d of %d bytes decoded without error", n, len(data))
+		}
+	}
+	for _, hdr := range []struct{ off, val uint64 }{{0, 1 << 40}, {16, 0}, {16, 1 << 40}, {16, ^uint64(0)}} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(bad[hdr.off:], hdr.val)
+		if _, err := readIndex(bad); err == nil {
+			t.Fatalf("header word %d = %#x decoded without error", hdr.off, hdr.val)
 		}
 	}
 }

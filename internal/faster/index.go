@@ -352,51 +352,43 @@ func dumpOne(b *bucket, w io.Writer) error {
 	return err
 }
 
-// readIndex deserializes an index checkpoint.
-func readIndex(r io.Reader) (*index, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("faster: index checkpoint header: %w", err)
+// bucketBytes is a bucket's serialized size: its entries plus its meta word.
+const bucketBytes = (entriesPerBucket + 1) * 8
+
+// readIndex decodes an index checkpoint straight from its payload. The
+// bucket counts are checked against the payload's length before anything is
+// allocated, so a truncated or corrupt artifact returns an error, never a
+// panic.
+func readIndex(data []byte) (*index, error) {
+	if len(data) < 24 {
+		return nil, fmt.Errorf("faster: index checkpoint header: %d bytes, want 24", len(data))
 	}
-	nBuckets := binary.LittleEndian.Uint64(hdr[0:])
-	next := binary.LittleEndian.Uint64(hdr[16:])
+	nBuckets := binary.LittleEndian.Uint64(data[0:])
+	next := binary.LittleEndian.Uint64(data[16:])
+	body := data[24:]
+	fit := uint64(len(body)) / bucketBytes
+	if next == 0 || next-1 > overflowMaxChunks*overflowChunkSize ||
+		nBuckets > fit || next-1 > fit-nBuckets {
+		return nil, fmt.Errorf("faster: index checkpoint: %d bytes cannot hold %d buckets and %d overflow buckets",
+			len(body), nBuckets, next-1)
+	}
 	idx, err := newIndex(int(nBuckets), 0)
 	if err != nil {
 		return nil, err
 	}
 	idx.overflowNext.Store(next)
-	var word [8]byte
-	load := func(bs []bucket) error {
-		for i := range bs {
-			b := &bs[i]
-			for j := range b.entries {
-				if _, err := io.ReadFull(r, word[:]); err != nil {
-					return err
-				}
-				b.entries[j].Store(binary.LittleEndian.Uint64(word[:]))
-			}
-			if _, err := io.ReadFull(r, word[:]); err != nil {
-				return err
-			}
-			b.meta.Store(binary.LittleEndian.Uint64(word[:]))
+	load := func(b *bucket) {
+		for j := range b.entries {
+			b.entries[j].Store(binary.LittleEndian.Uint64(body[j*8:]))
 		}
-		return nil
+		b.meta.Store(binary.LittleEndian.Uint64(body[entriesPerBucket*8:]))
+		body = body[bucketBytes:]
 	}
-	if err := load(idx.buckets); err != nil {
-		return nil, fmt.Errorf("faster: index checkpoint buckets: %w", err)
+	for i := range idx.buckets {
+		load(&idx.buckets[i])
 	}
 	for n := uint64(1); n < next; n++ {
-		b := idx.overflowBucket(n)
-		for j := range b.entries {
-			if _, err := io.ReadFull(r, word[:]); err != nil {
-				return nil, fmt.Errorf("faster: index checkpoint overflow: %w", err)
-			}
-			b.entries[j].Store(binary.LittleEndian.Uint64(word[:]))
-		}
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			return nil, fmt.Errorf("faster: index checkpoint overflow: %w", err)
-		}
-		b.meta.Store(binary.LittleEndian.Uint64(word[:]))
+		load(idx.overflowBucket(n))
 	}
 	return idx, nil
 }

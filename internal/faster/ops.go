@@ -90,7 +90,10 @@ func (sess *shardSession) updatedValue(op *pendingOp, rec hlog.RecordRef) []byte
 	if rec.Tombstone() {
 		return sess.initialValue(op)
 	}
-	return sess.store.cfg.RMW.Update(rec.Value(nil), op.input)
+	// rmwBuf is the private copy Update may overwrite; rcu copies the
+	// result into the new record.
+	sess.rmwBuf = rec.Value(sess.rmwBuf[:0])
+	return sess.store.cfg.RMW.Update(sess.rmwBuf, op.input)
 }
 
 // processNormal is the rest-phase path: in-place updates in the mutable

@@ -1,7 +1,6 @@
 package faster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -358,7 +357,7 @@ func recoverShard(cfg Config, id int, metrics storeMetrics, seq *atomic.Uint64, 
 			sh.close()
 			return nil, nil, fmt.Errorf("faster: recover index: %w", err)
 		}
-		idx, err := readIndex(bytes.NewReader(data))
+		idx, err := readIndex(data)
 		if err != nil {
 			sh.close()
 			return nil, nil, err

@@ -239,19 +239,24 @@ func (rs *restoreState) run() {
 	rs.mu.Lock()
 	failed = rs.failed
 	if failed == nil {
-		rs.sweepDone = true
 		rs.timeToWarmNanos.Store(nowNanos() - rs.startNanos)
 	}
+	rs.mu.Unlock()
+	if failed == nil {
+		// Publish the final snapshot before clearing the pointer so restore
+		// status never has a gap, then detach: the operation fast path
+		// returns to a single nil pointer check. Both happen before waiters
+		// wake, so a returned WaitRestored always sees a warm store.
+		sh.restoreStats.Store(rs.snapshot())
+		sh.restore.Store(nil)
+	}
+	rs.mu.Lock()
+	rs.sweepDone = failed == nil
 	rs.cond.Broadcast()
 	rs.mu.Unlock()
 	if failed != nil {
 		return
 	}
-	// Publish the final snapshot before clearing the pointer so restore
-	// status never has a gap, then detach: the operation fast path returns
-	// to a single nil pointer check.
-	sh.restoreStats.Store(rs.snapshot())
-	sh.restore.Store(nil)
 	sh.flight.Emit(obs.FlightSweep, sh.id, uint64(rs.version), rs.token, "", 0, 0)
 }
 

@@ -51,15 +51,16 @@ const (
 	opDelete
 )
 
-// pendingOp carries an in-flight operation: either awaiting async I/O for a
-// cold record or parked by the CPR protocol (fuzzy region, latch conflict,
-// version hand-off).
+// pendingOp carries an operation: the session's scratch while it runs on the
+// caller's buffers, or a parked heap copy owning its key and input while it
+// awaits async I/O for a cold record or is held back by the CPR protocol
+// (fuzzy region, latch conflict, version hand-off).
 type pendingOp struct {
 	kind    opKind
 	key     []byte
-	input   []byte // upsert value or RMW input
+	input   []byte // upsert value, RMW input, or a read's value
 	hash    uint64
-	version uint32 // CPR version this operation belongss to
+	version uint32 // CPR version this operation belongs to
 	serial  uint64
 
 	latched bool // holds a shared latch on the key's bucket (fine-grained)
@@ -121,20 +122,20 @@ type Session struct {
 
 	opsSinceRefresh int
 	closed          bool
+	// opCounts holds per-kind op counts (indexed by opKind) not yet added to
+	// the store's counters: Refresh publishes them, so an op pays a plain
+	// increment rather than an atomic add.
+	opCounts [4]uint64
 
-	// inBatch/opFree implement the multi-op batch entry (BeginBatch): while a
-	// batch is open, synchronously-completed operations recycle their
-	// pendingOp records — including key/input buffer capacity — through a
-	// small per-session freelist, so the steady-state in-memory path issues
-	// ops without allocating. Session ops are single-goroutine by contract,
-	// so the freelist needs no locking.
-	inBatch bool
-	opFree  []*pendingOp
+	// op is the in-flight operation: every fresh operation runs in this
+	// scratch on the caller's key and value, and only an operation that goes
+	// Pending is copied to the heap (park). Session ops are single-goroutine
+	// by contract, so the scratch needs no locking.
+	op pendingOp
+	// readBuf holds the value a synchronous Read returns; it is valid until
+	// the session's next operation.
+	readBuf []byte
 }
-
-// opFreeMax bounds the freelist so a burst of pending-heavy batches cannot
-// pin an unbounded set of retired op buffers.
-const opFreeMax = 64
 
 // shardSession is a session's per-shard context: its epoch guard on that
 // shard, its local view of the shard's CPR state machine, and the pending
@@ -148,7 +149,8 @@ type shardSession struct {
 	version uint32 // local view of the shard's version
 
 	pending []*pendingOp
-	// rmwBuf is the reused scratch in-place RMWs copy the current value into.
+	// rmwBuf is the reused scratch RMWs copy the current value into, both in
+	// place and for read-copy-update.
 	rmwBuf []byte
 	// compMu guards completed: async I/O completions are appended by pool
 	// workers and drained by CompletePending. A slice (not a channel) so a
@@ -284,6 +286,7 @@ func (sess *Session) StopSession() {
 		return
 	}
 	sess.CompletePending(true)
+	sess.publishOpCounts()
 	st := sess.store
 	st.mu.Lock()
 	delete(st.sessions, sess.id)
@@ -307,12 +310,23 @@ func (sess *Session) StopSession() {
 // Refresh updates the session's epoch entries and synchronizes its local
 // views of every shard's CPR state machine, performing phase-entry work
 // (Sec. 6.2): latching pending requests on prepare entry and demarcating the
-// CPR point on in-progress entry.
+// CPR point on in-progress entry. It also publishes the session's op counts
+// to the store's metrics.
 func (sess *Session) Refresh() {
 	for _, ctx := range sess.ctxs {
 		ctx.refresh()
 	}
 	sess.opsSinceRefresh = 0
+	sess.publishOpCounts()
+}
+
+// publishOpCounts adds the session's op counts to the store's counters.
+func (sess *Session) publishOpCounts() {
+	m := sess.store.metrics
+	for kind, c := range [...]*obs.Counter{opRead: m.reads, opUpsert: m.upserts, opRMW: m.rmws, opDelete: m.deletes} {
+		c.Add(sess.opCounts[kind])
+	}
+	sess.opCounts = [4]uint64{}
 }
 
 // refresh synchronizes one shard context with its shard's state machine.
@@ -416,57 +430,6 @@ func (sess *Session) maybeRefresh() {
 	}
 }
 
-// BeginBatch enters the session's batch mode for a run of pipelined
-// operations (the kvserver BATCH frame): one epoch refresh up front covers
-// the whole run — amortizing epoch protection across the batch instead of
-// paying the per-op bookkeeping — and completed operations recycle their op
-// records and buffers through the session freelist, making the in-memory hot
-// path allocation-free. The per-refreshInterval refresh still fires inside
-// very large batches so CPR commits never stall on a busy session.
-//
-// While a batch is open, the value slice returned by Read is valid only
-// until the session's next operation (it aliases a recycled buffer); callers
-// must consume or copy it immediately. EndBatch restores the default
-// caller-owns-the-value semantics.
-func (sess *Session) BeginBatch() {
-	sess.Refresh()
-	sess.inBatch = true
-}
-
-// EndBatch leaves batch mode. Pending (cold-read) operations, if any remain,
-// are still completed by CompletePending as usual.
-func (sess *Session) EndBatch() {
-	sess.inBatch = false
-}
-
-// newOp returns a pendingOp populated for a fresh operation. In batch mode it
-// reuses a retired record from the freelist, growing its key/input buffers in
-// place; otherwise it allocates, preserving the caller-owned-buffer semantics
-// of non-batch reads.
-func (sess *Session) newOp(kind opKind, key, input []byte, h uint64) *pendingOp {
-	if n := len(sess.opFree); sess.inBatch && n > 0 {
-		op := sess.opFree[n-1]
-		sess.opFree[n-1] = nil
-		sess.opFree = sess.opFree[:n-1]
-		k := append(op.key[:0], key...)
-		in := append(op.input[:0], input...)
-		*op = pendingOp{kind: kind, key: k, input: in, hash: h}
-		return op
-	}
-	return &pendingOp{kind: kind, key: append([]byte(nil), key...),
-		input: append([]byte(nil), input...), hash: h}
-}
-
-// recycle retires a synchronously-completed op to the freelist. Only called
-// in batch mode, and never for parked (Pending) ops — those own their buffers
-// until their callbacks have run, and are simply left to the GC.
-func (sess *Session) recycle(op *pendingOp) {
-	if len(sess.opFree) < opFreeMax {
-		op.readCB = nil
-		sess.opFree = append(sess.opFree, op)
-	}
-}
-
 // targetVersion returns the CPR version new work on this shard belongs to.
 // Once the session has demarcated its commit point for the shard's current
 // version (via any shard), fresh work is v+1 even if this shard's local
@@ -486,70 +449,63 @@ func (sess *Session) ctx(hash uint64) *shardSession {
 }
 
 // --- public operations ---
+//
+// Callbacks passed to Read run inside the session's own calls (Read itself,
+// or whichever later call completes the pending read) and must not issue
+// operations on the same session.
 
 // Upsert blindly writes value for key.
 func (sess *Session) Upsert(key, value []byte) Status {
-	sess.store.metrics.upserts.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opUpsert, key, value, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	return sess.issue(opUpsert, key, value, nil)
 }
 
 // RMW applies the store's RMWOps with input to key's value.
 func (sess *Session) RMW(key, input []byte) Status {
-	sess.store.metrics.rmws.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opRMW, key, input, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	return sess.issue(opRMW, key, input, nil)
 }
 
 // Delete removes key (writes a tombstone).
 func (sess *Session) Delete(key []byte) Status {
-	sess.store.metrics.deletes.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opDelete, key, nil, h)
-	op.serial, op.version = serial, ctx.targetVersion()
-	return ctx.run(op)
+	return sess.issue(opDelete, key, nil, nil)
 }
 
-// Read returns the value for key. If the record is cold (on storage) the
+// Read returns the value for key. A synchronous result is valid only until
+// the session's next operation (it lives in a per-session buffer); callers
+// must consume or copy it at once. If the record is cold (on storage) the
 // read goes pending: the value is delivered to cb (which may be nil) during
-// a later CompletePending. In batch mode (BeginBatch) the returned slice is
-// valid only until the session's next operation.
+// a later CompletePending.
 func (sess *Session) Read(key []byte, cb func(val []byte, st Status)) ([]byte, Status) {
-	sess.store.metrics.reads.Inc()
-	sess.maybeRefresh()
-	serial := sess.serial.Add(1)
-	h := hashfn.Hash64(key)
-	ctx := sess.ctx(h)
-	op := sess.newOp(opRead, key, nil, h)
-	op.serial, op.version, op.readCB = serial, ctx.targetVersion(), cb
-	st := ctx.run(op)
-	if st == Ok {
-		return op.input, Ok // run stores the read value in op.input
+	if st := sess.issue(opRead, key, sess.readBuf[:0], cb); st != Ok {
+		return nil, st
 	}
-	return nil, st
+	sess.readBuf = sess.op.input // finishRead stores the value in op.input
+	return sess.readBuf, Ok
 }
 
-// maxPendingSoft is the pending-list size beyond which run drains
+// maxPendingSoft is the pending-list size beyond which issue drains
 // completions before issuing new work, bounding in-flight state (the paper's
 // clients bound their in-flight buffers similarly, Sec. 7.3.4).
 const maxPendingSoft = 4096
 
-// run executes a fresh operation, parking it on the pending list if needed.
-// In batch mode, synchronously-completed ops go back to the session freelist
-// (their buffers stay valid until the next operation reuses them).
+// issue runs a fresh operation in the session's scratch op, borrowing key
+// and input from the caller.
+func (sess *Session) issue(kind opKind, key, input []byte, cb func(val []byte, st Status)) Status {
+	h := hashfn.Hash64(key)
+	ctx := sess.ctx(h)
+	// The drain runs completion callbacks, so it must finish before the
+	// scratch is filled and the serial assigned.
+	if len(ctx.pending) >= maxPendingSoft {
+		ctx.completeOnce()
+	}
+	sess.opCounts[kind]++
+	sess.maybeRefresh()
+	op := &sess.op
+	*op = pendingOp{kind: kind, key: key, input: input, hash: h, readCB: cb,
+		serial: sess.serial.Add(1), version: ctx.targetVersion()}
+	return ctx.run(op)
+}
+
+// run executes a fresh operation; one that goes Pending is parked.
 func (sess *shardSession) run(op *pendingOp) Status {
 	// Instant restore: a cold bucket must be warmed before any operation in
 	// it executes. One nil pointer load on the post-restore hot path; while
@@ -563,23 +519,32 @@ func (sess *shardSession) run(op *pendingOp) Status {
 			if op.readCB != nil {
 				op.readCB(nil, Error)
 			}
-			if sess.owner.inBatch {
-				sess.owner.recycle(op)
-			}
 			return Error
 		}
-	}
-	if len(sess.pending) >= maxPendingSoft {
-		sess.completeOnce()
 	}
 	st := sess.doOp(op)
 	if st == Pending {
 		sess.store.metrics.pendings.Inc()
-		sess.pending = append(sess.pending, op)
-	} else if sess.owner.inBatch {
-		sess.owner.recycle(op)
+		sess.park(op)
 	}
 	return st
+}
+
+// park copies a Pending scratch op to the heap — the copy owns its key and
+// input; latch, tally and version state carry over by value — queues it on
+// the pending list, and starts its storage read if it needs one.
+func (sess *shardSession) park(op *pendingOp) {
+	p := *op
+	p.key = append([]byte(nil), op.key...)
+	if op.kind == opRead {
+		p.input = nil // the session's read buffer; completion allocates
+	} else {
+		p.input = append([]byte(nil), op.input...)
+	}
+	sess.pending = append(sess.pending, &p)
+	if p.awaitingIO {
+		sess.startIO(&p)
+	}
 }
 
 // CompletePending drains async I/O completions and retries parked
@@ -620,6 +585,9 @@ func (sess *shardSession) completeOnce() {
 			continue
 		}
 		if st := sess.doOp(op); st == Pending {
+			if op.awaitingIO {
+				sess.startIO(op)
+			}
 			kept = append(kept, op)
 		}
 	}
@@ -739,19 +707,25 @@ func (sess *shardSession) find(op *pendingOp, create, skipFuture bool) findResul
 	return findResult{slot: slot, reg: regNone}
 }
 
-// issueIO starts an async read for the record at addr and parks the op.
+// issueIO marks op as needing the record at addr from storage. The read
+// itself starts once the op sits on the pending list (startIO): the
+// completion keeps the op, so it must never be the session's scratch.
 func (sess *shardSession) issueIO(op *pendingOp, addr uint64) Status {
-	sess.store.metrics.ioReads.Inc()
 	op.awaitingIO = true
 	op.ioAddr = addr
+	return Pending
+}
+
+// startIO issues the async read a parked op awaits.
+func (sess *shardSession) startIO(op *pendingOp) {
+	sess.store.metrics.ioReads.Inc()
 	sess.outstandingIO.Add(1)
-	sess.store.log.AsyncRead(addr, func(rec hlog.RecordRef, err error) {
+	sess.store.log.AsyncRead(op.ioAddr, func(rec hlog.RecordRef, err error) {
 		op.ioRec, op.ioErr = rec, err
 		sess.compMu.Lock()
 		sess.completed = append(sess.completed, op)
 		sess.compMu.Unlock()
 	})
-	return Pending
 }
 
 // rcu installs a new record for op at the log tail with the given version,

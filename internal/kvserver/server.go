@@ -25,9 +25,9 @@ import (
 //
 // The serving loop is allocation-free in steady state: frames are read into
 // a per-connection reusable buffer, batch payloads are decoded arena-style
-// (keys and values as sub-slices of the frame buffer), the session recycles
-// op records through its freelist (faster.Session.BeginBatch), and replies
-// are gathered into a reusable buffer behind a coalescing writer.
+// (keys and values as sub-slices of the frame buffer), the session runs each
+// op on those buffers without copying, and replies are gathered into a
+// reusable buffer behind a coalescing writer.
 type Server struct {
 	ln net.Listener
 
@@ -522,6 +522,9 @@ func (s *Server) respond(cs *connState, at *obs.ActiveTrace, op byte, frame []by
 func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, op byte, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	conn := cs.conn
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	// One epoch refresh per frame, however many ops it carries, keeps the
+	// session's view of the CPR phase current so commits progress.
+	sess.Refresh()
 	switch op {
 	case OpBatch:
 		return s.execBatch(cs, store, om, sess, payload, at, tRecv)
@@ -539,9 +542,8 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		}
 		tDec := time.Now().UnixNano()
 		at.Span(obs.SpanDecode, tRecv, tDec, uint64(store.ShardOfKey(key)), 0, "")
-		// A single-op frame is a one-op batch: the same session bracket and
-		// per-op code, with the reply built in the reused reply buffer.
-		sess.BeginBatch()
+		// A single-op frame runs the BATCH path's per-op code, with the
+		// reply built in the reused reply buffer.
 		status, out, serial := s.execOp(cs, sess, op, key, val)
 		reply := cs.beginReply(status)
 		if op == OpGet {
@@ -549,7 +551,6 @@ func (s *Server) dispatchOp(cs *connState, store *faster.Store, om opMetrics, se
 		} else {
 			reply = appendU64(reply, serial)
 		}
-		sess.EndBatch()
 		tExec := time.Now().UnixNano()
 		at.Span(obs.SpanExec, tDec, tExec, sess.Serial(), 0, "")
 		om.execNs.ObserveValue(uint64(tExec - tDec))
@@ -694,10 +695,10 @@ func wireStatus(st faster.Status) byte {
 // execBatch serves one BATCH frame: ops are decoded arena-style from the
 // frame buffer, scattered to shards through the session's hash router in
 // issue order, and their replies gathered in the same order into the reused
-// reply buffer. The session runs in batch mode (one epoch refresh up front,
-// op records recycled), so the in-memory steady state allocates nothing per
-// op. A reply run exceeding the coalescing byte cap is emitted as its own
-// self-contained frame, bounding buffered reply memory for huge batches.
+// reply buffer. The session runs each op on the frame's buffers, so the
+// in-memory steady state allocates nothing per op. A reply run exceeding the
+// coalescing byte cap is emitted as its own self-contained frame, bounding
+// buffered reply memory for huge batches.
 func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, sess *faster.Session, payload []byte, at *obs.ActiveTrace, tRecv int64) error {
 	r, err := newBatchReader(payload)
 	if err != nil {
@@ -707,10 +708,8 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 	om.batchDepth.ObserveValue(uint64(r.count))
 	tBatch := time.Now().UnixNano()
 	at.Span(obs.SpanDecode, tRecv, tBatch, uint64(r.count), 0, "")
-	sess.BeginBatch()
-	defer sess.EndBatch()
 	byteCap := s.coalesceBytes()
-	reply := beginBatchReply(cs.reply)
+	reply := startBatchReply(cs.reply)
 	count := 0 // entries in the current reply run
 	sent := 0  // reply frames already emitted (split batches)
 	for i := 0; i < r.count; i++ {
@@ -742,7 +741,7 @@ func (s *Server) execBatch(cs *connState, store *faster.Store, om opMetrics, ses
 			}
 			cs.unflushed += count
 			sent++
-			reply = beginBatchReply(reply)
+			reply = startBatchReply(reply)
 			count = 0
 		}
 	}
@@ -952,7 +951,7 @@ func (s *Server) replicaBatch(conn net.Conn, rb ReplicaBackend, payload []byte) 
 	if err != nil {
 		return err
 	}
-	frame := beginBatchReply(nil)
+	frame := startBatchReply(nil)
 	for i := 0; i < r.count; i++ {
 		_, seq, key, _, err := r.next()
 		if err != nil {

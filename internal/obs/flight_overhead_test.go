@@ -3,7 +3,6 @@ package obs_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/faster"
 	"repro/internal/obs"
@@ -26,7 +25,6 @@ func TestFlightOverheadGuard(t *testing.T) {
 
 	const (
 		keys      = 128
-		ops       = 150_000
 		commitEvg = 25_000 // ops between commits: lifecycle events flow too
 		trials    = 5
 	)
@@ -36,55 +34,45 @@ func TestFlightOverheadGuard(t *testing.T) {
 	}
 	val := []byte("value-00000000")
 
-	run := func(fr *obs.FlightRecorder) time.Duration {
-		store, err := faster.Open(faster.Config{Metrics: obs.NewNop(), Flight: fr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		sess := store.StartSession()
-		defer sess.StopSession()
-		for _, k := range keybuf { // warm the index
-			if st := sess.Upsert(k, val); st != faster.Ok {
-				t.Fatalf("warmup upsert: %v", st)
+	side := func(newFR func() *obs.FlightRecorder) guardSide {
+		return func() (func(int), func()) {
+			store, err := faster.Open(faster.Config{Metrics: obs.NewNop(), Flight: newFR()})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t0 := time.Now()
-		for i := 0; i < ops; i++ {
-			if st := sess.Upsert(keybuf[i%keys], val); st != faster.Ok {
-				t.Fatalf("upsert: %v", st)
-			}
-			if i%commitEvg == commitEvg-1 {
-				token, err := store.Commit(faster.CommitOptions{})
-				if err != nil {
-					t.Fatalf("commit: %v", err)
+			sess := store.StartSession()
+			for _, k := range keybuf { // warm the index
+				if st := sess.Upsert(k, val); st != faster.Ok {
+					t.Fatalf("warmup upsert: %v", st)
 				}
-				for {
-					if res, ok := store.TryResult(token); ok {
-						if res.Err != nil {
-							t.Fatalf("commit result: %v", res.Err)
-						}
-						break
+			}
+			op := func(i int) {
+				if st := sess.Upsert(keybuf[i%keys], val); st != faster.Ok {
+					t.Fatalf("upsert: %v", st)
+				}
+				if i%commitEvg == commitEvg-1 {
+					token, err := store.Commit(faster.CommitOptions{})
+					if err != nil {
+						t.Fatalf("commit: %v", err)
 					}
-					sess.Refresh()
+					for {
+						if res, ok := store.TryResult(token); ok {
+							if res.Err != nil {
+								t.Fatalf("commit result: %v", res.Err)
+							}
+							break
+						}
+						sess.Refresh()
+					}
 				}
 			}
-		}
-		return time.Since(t0)
-	}
-
-	best := map[string]time.Duration{"off": 1<<63 - 1, "on": 1<<63 - 1}
-	for i := 0; i < trials; i++ {
-		if d := run(nil); d < best["off"] {
-			best["off"] = d
-		}
-		if d := run(obs.NewFlightRecorder(obs.DefaultFlightCapacity)); d < best["on"] {
-			best["on"] = d
+			return op, func() { sess.StopSession(); store.Close() }
 		}
 	}
 
-	offRate := float64(ops) / best["off"].Seconds()
-	onRate := float64(ops) / best["on"].Seconds()
+	offRate, onRate := bestRates(trials,
+		side(func() *obs.FlightRecorder { return nil }),
+		side(func() *obs.FlightRecorder { return obs.NewFlightRecorder(obs.DefaultFlightCapacity) }))
 	t.Logf("upsert throughput with commits: recorder off %.0f ops/s, on %.0f ops/s (%.1f%%)",
 		offRate, onRate, 100*onRate/offRate)
 	if onRate < 0.90*offRate {

@@ -25,7 +25,6 @@ func TestTracingOverheadGuard(t *testing.T) {
 
 	const (
 		keys   = 128
-		ops    = 150_000
 		trials = 5
 	)
 	keybuf := make([][]byte, keys)
@@ -34,46 +33,37 @@ func TestTracingOverheadGuard(t *testing.T) {
 	}
 	val := []byte("value-00000000")
 
-	run := func(tr *obs.RequestTracer) time.Duration {
-		store, err := faster.Open(faster.Config{Metrics: obs.NewNop()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		sess := store.StartSession()
-		defer sess.StopSession()
-		for _, k := range keybuf {
-			if st := sess.Upsert(k, val); st != faster.Ok {
-				t.Fatalf("warmup upsert: %v", st)
+	side := func(newTracer func() *obs.RequestTracer) guardSide {
+		return func() (func(int), func()) {
+			tr := newTracer()
+			store, err := faster.Open(faster.Config{Metrics: obs.NewNop()})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		var at obs.ActiveTrace
-		t0 := time.Now()
-		for i := 0; i < ops; i++ {
-			start := time.Now().UnixNano()
-			tr.Begin(&at, obs.TraceContext{}, "SET", "guard")
-			if st := sess.Upsert(keybuf[i%keys], val); st != faster.Ok {
-				t.Fatalf("upsert: %v", st)
+			sess := store.StartSession()
+			for _, k := range keybuf {
+				if st := sess.Upsert(k, val); st != faster.Ok {
+					t.Fatalf("warmup upsert: %v", st)
+				}
 			}
-			end := time.Now().UnixNano()
-			at.Span(obs.SpanExec, start, end, uint64(i), 0, "")
-			tr.Finish(&at, start, end)
-		}
-		return time.Since(t0)
-	}
-
-	best := map[string]time.Duration{"off": 1<<63 - 1, "on": 1<<63 - 1}
-	for i := 0; i < trials; i++ {
-		if d := run(nil); d < best["off"] {
-			best["off"] = d
-		}
-		if d := run(obs.NewRequestTracer(obs.DefaultTraceReservoir)); d < best["on"] {
-			best["on"] = d
+			var at obs.ActiveTrace
+			op := func(i int) {
+				start := time.Now().UnixNano()
+				tr.Begin(&at, obs.TraceContext{}, "SET", "guard")
+				if st := sess.Upsert(keybuf[i%keys], val); st != faster.Ok {
+					t.Fatalf("upsert: %v", st)
+				}
+				end := time.Now().UnixNano()
+				at.Span(obs.SpanExec, start, end, uint64(i), 0, "")
+				tr.Finish(&at, start, end)
+			}
+			return op, func() { sess.StopSession(); store.Close() }
 		}
 	}
 
-	offRate := float64(ops) / best["off"].Seconds()
-	onRate := float64(ops) / best["on"].Seconds()
+	offRate, onRate := bestRates(trials,
+		side(func() *obs.RequestTracer { return nil }),
+		side(func() *obs.RequestTracer { return obs.NewRequestTracer(obs.DefaultTraceReservoir) }))
 	t.Logf("traced upsert throughput: tracer off %.0f ops/s, on %.0f ops/s (%.1f%%)",
 		offRate, onRate, 100*onRate/offRate)
 	if onRate < 0.90*offRate {

@@ -26,14 +26,30 @@ type CheckpointStore interface {
 	Remove(name string) error
 }
 
-// ReadArtifact reads a whole named artifact into memory.
+// ReadArtifact reads a whole named artifact into memory. When the store's
+// reader knows its length (an in-memory artifact's Size, a file's Stat) the
+// artifact is read into an exactly sized buffer instead of a growing one.
 func ReadArtifact(cs CheckpointStore, name string) ([]byte, error) {
 	r, err := cs.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return io.ReadAll(r)
+	size := int64(-1)
+	switch v := r.(type) {
+	case memReader:
+		size = v.Size()
+	case *os.File:
+		if fi, err := v.Stat(); err == nil {
+			size = fi.Size()
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	_, err = io.ReadFull(r, buf)
+	return buf, err
 }
 
 // WriteArtifact persists one named artifact in a single call.
@@ -106,8 +122,15 @@ func (s *MemCheckpointStore) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return memReader{bytes.NewReader(data)}, nil
 }
+
+// memReader reads a MemCheckpointStore artifact; the embedded reader's Size
+// lets ReadArtifact allocate the artifact exactly.
+type memReader struct{ *bytes.Reader }
+
+// Close implements io.Closer.
+func (memReader) Close() error { return nil }
 
 // List implements CheckpointStore.
 func (s *MemCheckpointStore) List() ([]string, error) {

@@ -73,7 +73,8 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteAt implements Device, growing the device as needed.
+// WriteAt implements Device, growing the device as needed: growth reserves a
+// quarter more capacity, so an appending log is not copied on every write.
 func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 	if d.Latency > 0 {
 		time.Sleep(d.Latency)
@@ -90,10 +91,12 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("storage: negative offset %d", off)
 	}
 	end := off + int64(len(p))
-	if end > int64(len(d.data)) {
-		grown := make([]byte, end)
+	if end > int64(cap(d.data)) {
+		grown := make([]byte, end, end+end/4)
 		copy(grown, d.data)
 		d.data = grown
+	} else if end > int64(len(d.data)) {
+		d.data = d.data[:end] // the device never shrinks: the tail is zero
 	}
 	copy(d.data[off:], p)
 	return len(p), nil

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"io"
 	"path/filepath"
 	"sync"
@@ -24,6 +25,41 @@ func TestMemDeviceRoundTrip(t *testing.T) {
 	}
 	if d.Size() != 100+int64(len(msg)) {
 		t.Fatalf("size = %d", d.Size())
+	}
+}
+
+// TestMemDeviceAppendGrowth: extending writes keep earlier bytes, read a
+// skipped gap as zeros, and an appending log does not reallocate the device
+// on every write.
+func TestMemDeviceAppendGrowth(t *testing.T) {
+	d := NewMemDevice()
+	defer d.Close()
+	if _, err := d.WriteAt([]byte("head"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt([]byte("tail"), 1000); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1004)
+	if _, err := d.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:4]) != "head" || string(got[1000:]) != "tail" || !bytes.Equal(got[4:1000], make([]byte, 996)) {
+		t.Fatalf("device contents after growth: %q...%q", got[:4], got[1000:])
+	}
+	off := int64(1004)
+	page := make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.WriteAt(page, off); err != nil {
+			t.Fatal(err)
+		}
+		off += int64(len(page))
+	})
+	if allocs > 0.25 {
+		t.Fatalf("appending writes allocate %.2f times per write, want amortized growth", allocs)
+	}
+	if d.Size() != off {
+		t.Fatalf("size = %d, want %d", d.Size(), off)
 	}
 }
 
@@ -176,6 +212,15 @@ func testStoreRoundTrip(t *testing.T, s CheckpointStore) {
 	}
 	if _, err := s.Open("meta/info.json"); err == nil {
 		t.Fatal("open after remove should fail")
+	}
+	// ReadArtifact sizes its buffer from the store's reader: no growth.
+	big := bytes.Repeat([]byte("x"), 100_000)
+	if err := WriteArtifact(s, "big", big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadArtifact(s, "big")
+	if err != nil || !bytes.Equal(got, big) || cap(got) != len(big) {
+		t.Fatalf("ReadArtifact: len %d cap %d err %v, want exactly %d bytes", len(got), cap(got), err, len(big))
 	}
 }
 
