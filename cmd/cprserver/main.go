@@ -23,344 +23,71 @@
 //
 //	cprserver -addr :7070 -repl :7071 -dir /var/lib/cprdb
 //	cprserver -addr :7080 -replica-of primary-host:7071
+//
+// The serving stack itself is internal/node.
 package main
 
 import (
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
-	cpr "repro"
-	"repro/internal/faster"
-	"repro/internal/health"
-	"repro/internal/kvserver"
+	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/repl"
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
-		dir        = flag.String("dir", "", "database directory (empty = in-memory)")
-		shards     = flag.Int("shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
-		autocommit = flag.Duration("autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
-		instant    = flag.Bool("instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (see fasterctl restore-status)")
-		idleTO     = flag.Duration("idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
-		debugAddr  = flag.String("debug", "", "debug HTTP listen address serving /metrics, /timeline and /debug/pprof (empty = off)")
-		replAddr   = flag.String("repl", "", "replication listen address; replicas connect here (empty = off)")
-		replicaOf  = flag.String("replica-of", "", "run as a read replica of this primary replication address")
+	var c node.Config
+	flag.StringVar(&c.Addr, "addr", "127.0.0.1:7070", "listen address")
+	flag.StringVar(&c.Dir, "dir", "", "database directory (empty = in-memory)")
+	flag.IntVar(&c.Shards, "shards", 1, "store partitions, each an independent CPR domain (commits stay coordinated)")
+	flag.DurationVar(&c.AutoCommit, "autocommit", 500*time.Millisecond, "automatic log-only commit cadence (0 = off)")
+	flag.BoolVar(&c.InstantRestore, "instant-restore", false, "recover in instant-restore mode: serve immediately on the last commit's index and warm hash buckets on demand (see fasterctl restore-status)")
+	flag.DurationVar(&c.IdleTimeout, "idle-timeout", 0, "reap connections idle past this long, releasing their FASTER sessions (0 = off)")
+	flag.StringVar(&c.DebugAddr, "debug", "", "debug HTTP listen address serving /metrics, /timeline and /debug/pprof (empty = off)")
+	flag.StringVar(&c.ReplAddr, "repl", "", "replication listen address; replicas connect here (empty = off)")
+	flag.StringVar(&c.ReplicaOf, "replica-of", "", "run as a read replica of this primary replication address")
 
-		faultRate    = flag.Float64("fault-rate", 0, "injected transient I/O fault probability per op, in [0,1] (testing)")
-		faultTorn    = flag.Float64("fault-torn-rate", 0, "injected torn-write probability per artifact write, in [0,1] (testing)")
-		faultSeed    = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-		faultLatency = flag.Duration("fault-latency", 0, "injected latency spike duration; applied at -fault-rate (testing)")
+	flag.Float64Var(&c.FaultRate, "fault-rate", 0, "injected transient I/O fault probability per op, in [0,1] (testing)")
+	flag.Float64Var(&c.FaultTornRate, "fault-torn-rate", 0, "injected torn-write probability per artifact write, in [0,1] (testing)")
+	flag.Uint64Var(&c.FaultSeed, "fault-seed", 1, "seed for the deterministic fault schedule")
+	flag.DurationVar(&c.FaultLatency, "fault-latency", 0, "injected latency spike duration; applied at -fault-rate (testing)")
 
-		flightCap = flag.Int("flightrec", obs.DefaultFlightCapacity, "flight-recorder ring capacity per CPU (events; 0 = off)")
-		traceCap  = flag.Int("reqtrace", 64, "slow-request trace retention (span trees; 0 = off)")
+	flag.IntVar(&c.FlightRec, "flightrec", obs.DefaultFlightCapacity, "flight-recorder ring capacity per CPU (events; 0 = off)")
+	flag.IntVar(&c.ReqTrace, "reqtrace", 64, "slow-request trace retention (span trees; 0 = off)")
 
-		healthIvl = flag.Duration("health-interval", time.Second, "health engine sampling interval; detectors fire after ~3 bad samples (0 = off)")
-		sloDurLag = flag.Duration("slo-durlag", 0, "durability-lag SLO objective: windowed p99 session lag above this burns the SLO and degrades health (0 = off)")
+	flag.DurationVar(&c.HealthInterval, "health-interval", time.Second, "health engine sampling interval; detectors fire after ~3 bad samples (0 = off)")
+	flag.DurationVar(&c.SLODurLag, "slo-durlag", 0, "durability-lag SLO objective: windowed p99 session lag above this burns the SLO and degrades health (0 = off)")
 
-		coalesceBytes = flag.Int("coalesce-bytes", kvserver.DefaultCoalesceBytes, "per-connection reply coalescing: flush past this many buffered bytes")
-		coalesceOps   = flag.Int("coalesce-ops", kvserver.DefaultCoalesceOps, "per-connection reply coalescing: flush past this many buffered replies")
+	flag.IntVar(&c.CoalesceBytes, "coalesce-bytes", node.DefaultCoalesceBytes, "per-connection reply coalescing: flush past this many buffered bytes")
+	flag.IntVar(&c.CoalesceOps, "coalesce-ops", node.DefaultCoalesceOps, "per-connection reply coalescing: flush past this many buffered replies")
 
-		inlogAddr     = flag.String("inlog-addr", "", "ingestion-log listen address; enables the durable ingest pipeline (empty = off)")
-		inlogFsync    = flag.String("inlog-fsync", "batch", "ingest fsync policy: always | batch | manual")
-		inlogSegBytes = flag.Int64("inlog-segment-bytes", 1<<20, "ingest log segment roll threshold in bytes")
-		inlogBatchN   = flag.Int("inlog-batch-records", 64, "ingest batch fsync: sync after this many appends")
-		inlogBatchIvl = flag.Duration("inlog-batch-interval", 2*time.Millisecond, "ingest batch fsync: background flush cadence (0 = default, negative = off)")
-	)
+	flag.StringVar(&c.InlogAddr, "inlog-addr", "", "ingestion-log listen address; enables the durable ingest pipeline (empty = off)")
+	flag.StringVar(&c.InlogFsync, "inlog-fsync", "batch", "ingest fsync policy: always | batch | manual")
+	flag.Int64Var(&c.InlogSegmentBytes, "inlog-segment-bytes", 1<<20, "ingest log segment roll threshold in bytes")
+	flag.IntVar(&c.InlogBatchRecords, "inlog-batch-records", 64, "ingest batch fsync: sync after this many appends")
+	flag.DurationVar(&c.InlogBatchInterval, "inlog-batch-interval", 2*time.Millisecond, "ingest batch fsync: background flush cadence (0 = default, negative = off)")
 	flag.Parse()
 
-	// With -fault-rate/-fault-torn-rate the storage layer is wrapped in a
-	// seeded fault injector: transient read/write errors, torn artifact
-	// writes and optional latency spikes exercise the retry and
-	// verified-recovery paths under an otherwise normal workload.
-	metrics := obs.NewRegistry()
-	obs.RegisterBuildInfo(metrics, map[string]string{"shards": strconv.Itoa(*shards)})
-	obs.RegisterRuntimeMetrics(metrics)
-	var flight *obs.FlightRecorder
-	if *flightCap > 0 {
-		flight = obs.NewFlightRecorder(*flightCap)
-	}
-	var injector *cpr.FaultInjector
-	if *faultRate > 0 || *faultTorn > 0 {
-		fc := cpr.FaultConfig{
-			Seed:           *faultSeed,
-			ReadErrorRate:  *faultRate,
-			WriteErrorRate: *faultRate,
-			TornWriteRate:  *faultTorn,
-			Metrics:        metrics,
-			Flight:         flight,
-		}
-		if *faultLatency > 0 {
-			fc.LatencyRate = *faultRate
-			fc.Latency = *faultLatency
-		}
-		injector = cpr.NewFaultInjector(fc)
-		log.Printf("fault injection on: rate=%g torn=%g seed=%d latency=%v",
-			*faultRate, *faultTorn, *faultSeed, *faultLatency)
-	}
-	wrapDevice := func(d cpr.Device) cpr.Device {
-		if injector == nil {
-			return d
-		}
-		return cpr.NewFaultDevice(d, injector)
-	}
-
-	cfg := faster.Config{Shards: *shards, Metrics: metrics, Flight: flight,
-		InstantRestore: *instant}
-	if *traceCap > 0 {
-		cfg.ReqTrace = obs.NewRequestTracer(*traceCap)
-	}
-	if *dir != "" {
-		if *shards > 1 {
-			// One log file per shard; checkpoints share the directory store
-			// (the store namespaces each shard under shard<i>/).
-			base := *dir
-			cfg.DeviceFactory = func(i int) (cpr.Device, error) {
-				d, err := cpr.OpenFileDevice(filepath.Join(base, fmt.Sprintf("hybridlog-shard%d.dat", i)))
-				if err != nil {
-					return nil, err
-				}
-				return wrapDevice(d), nil
-			}
-		} else {
-			device, err := cpr.OpenFileDevice(filepath.Join(*dir, "hybridlog.dat"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Device = wrapDevice(device)
-		}
-		checkpoints, err := cpr.NewDirCheckpointStore(filepath.Join(*dir, "checkpoints"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Checkpoints = checkpoints
-		if injector != nil {
-			cfg.Checkpoints = cpr.NewFaultCheckpointStore(checkpoints, injector)
-		}
-	} else if injector != nil {
-		// In-memory mode still exercises the fault paths.
-		cfg.Device = wrapDevice(cpr.NewMemDevice())
-		cfg.Checkpoints = cpr.NewFaultCheckpointStore(cpr.NewMemCheckpointStore(), injector)
-	}
-
-	opts := serveOptions{
-		autocommit:    *autocommit,
-		idleTimeout:   *idleTO,
-		coalesceBytes: *coalesceBytes,
-		coalesceOps:   *coalesceOps,
-		debugAddr:     *debugAddr,
-		healthIvl:     *healthIvl,
-		sloDurLag:     *sloDurLag,
-	}
-	if *replicaOf != "" {
-		runReplica(cfg, *replicaOf, *addr, *replAddr, opts)
-		return
-	}
-
-	t0 := time.Now()
-	store, report, err := faster.RecoverWithReport(cfg)
-	if err != nil {
-		if !errors.Is(err, faster.ErrNoCheckpoint) {
-			// Shard-count mismatch, corrupt artifact, ...: starting fresh
-			// would shadow the existing data.
-			log.Fatal(err)
-		}
-		log.Printf("no previous commit (%v); starting fresh", err)
-		store, err = faster.Open(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		for _, sk := range report.Skipped {
-			log.Printf("recovery skipped unverifiable commit %s: %v", sk.Token, sk.Reason)
-		}
-		mode := "full replay"
-		if report.Instant {
-			mode = "instant restore"
-		}
-		log.Printf("recovered store at version %d (commit %s): %s, time-to-serving %v",
-			store.Version(), report.Token, mode, time.Since(t0))
-		if rst := store.RestoreStatus(); rst != nil && rst.Restoring {
-			log.Printf("instant restore warming %d cold buckets in the background (fasterctl restore-status tracks progress)",
-				rst.ColdBuckets())
-		}
-	}
-	defer store.Close()
-
-	if *inlogAddr != "" {
-		stop, err := startInlog(store, *dir, inlogOptions{
-			addr:          *inlogAddr,
-			fsync:         *inlogFsync,
-			segmentBytes:  *inlogSegBytes,
-			batchRecords:  *inlogBatchN,
-			batchInterval: *inlogBatchIvl,
-		}, metrics, flight, wrapDevice)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-	}
-
-	srv := kvserver.NewServer(store)
-	defer opts.setup(srv, store)()
-	if *replAddr != "" {
-		rsrv := repl.NewServer(store)
-		rsrv.ClientAddr = *addr
-		srv.ReplStats = rsrv.ReplStats
-		go func() {
-			// Replication ships from commits, and commits are refused until
-			// the store is warm — hold the listener until then so a replica
-			// never connects to a primary that cannot ship yet.
-			if err := store.WaitRestored(); err != nil {
-				log.Printf("replication listener not started: %v", err)
-				return
-			}
-			log.Printf("shipping to replicas on %s", *replAddr)
-			if err := rsrv.Serve(*replAddr); err != nil {
-				log.Printf("replication listener: %v", err)
-			}
-		}()
-	}
-	log.Printf("serving on %s (autocommit %v)", *addr, *autocommit)
-	defer dumpFlightOnPanic(store)
-	if err := srv.Serve(*addr); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// serveOptions are the flag-derived settings shared by a primary's and a
-// replica's kvserver.
-type serveOptions struct {
-	autocommit    time.Duration
-	idleTimeout   time.Duration
-	coalesceBytes int
-	coalesceOps   int
-	debugAddr     string
-	healthIvl     time.Duration
-	sloDurLag     time.Duration
-}
-
-// setup applies the options to srv, which serves store: it starts the health
-// engine and the debug listener when enabled, and sets the server's commit,
-// reaping and coalescing knobs. The returned function stops the health
-// engine.
-func (o serveOptions) setup(srv *kvserver.Server, store *faster.Store) (stop func()) {
-	eng := startHealth(store, o.healthIvl, o.sloDurLag)
-	if o.debugAddr != "" {
-		mux := obs.NewDebugMux(store.Metrics(), store.Flight(), store.RequestTracer())
-		if eng != nil {
-			mux.Handle("/health", eng.Handler())
-		}
-		go func() {
-			log.Printf("debug endpoints on http://%s/{metrics,metrics.prom,timeline,flight,trace,health,debug/pprof}", o.debugAddr)
-			if err := http.ListenAndServe(o.debugAddr, mux); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-	srv.AutoCommit = o.autocommit // a replica's takes effect after promotion
-	srv.IdleTimeout = o.idleTimeout
-	srv.CoalesceBytes = o.coalesceBytes
-	srv.CoalesceOps = o.coalesceOps
-	if eng == nil {
-		return func() {}
-	}
-	srv.Health = eng.Verdict
-	return eng.Stop
-}
-
-// startHealth builds and starts the health engine over a store's
-// observability surfaces: it samples the metrics registry every interval,
-// runs the stall/SLO detector suite, and captures incident bundles through
-// the store's checkpoint store when a detector fires. Returns nil when
-// disabled (interval 0).
-func startHealth(store *faster.Store, interval, sloDurLag time.Duration) *health.Engine {
-	if interval <= 0 {
-		return nil
-	}
-	eng := health.New(health.Config{
-		Registry:  store.Metrics(),
-		Interval:  interval,
-		SLODurLag: sloDurLag,
-		Bundles:   store.Checkpoints(),
-		Flight:    store.Flight(),
-		Traces:    store.RequestTracer(),
-		OnIncident: func(b *health.Bundle) {
-			log.Printf("health: %s fired (%s); incident bundle incident-%s-%d captured (fasterctl incident)",
-				b.Detector, b.Detail, b.Detector, b.Seq)
-		},
-	})
-	eng.Start()
-	log.Printf("health engine sampling every %v (slo-durlag %v)", interval, sloDurLag)
-	return eng
-}
-
-// dumpFlightOnPanic persists the flight recorder's rings as a crash-dump
-// artifact ("flight-panic" in the checkpoint store) before letting the panic
-// continue, so the last moments before the crash survive for
-// `fasterctl flight -dump`.
-func dumpFlightOnPanic(store *faster.Store) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if err := store.DumpFlight("panic"); err != nil {
-		log.Printf("flight dump: %v", err)
-	} else {
-		log.Printf("flight recorder dumped to checkpoint artifact flight-panic")
-	}
-	panic(r)
-}
-
-// runReplica serves prefix-consistent reads from a replica of upstream,
-// promoting to primary on SIGHUP.
-func runReplica(cfg faster.Config, upstream, addr, replAddr string, opts serveOptions) {
-	rep, err := repl.NewReplica(repl.Config{Upstream: upstream, StoreConfig: cfg})
+	n, err := node.Open(c)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rep.Store().Close()
-
-	srv := kvserver.NewReplicaServer(rep)
-	defer opts.setup(srv, rep.Store())()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGHUP)
-	go func() {
-		<-sig
-		store, err := rep.Promote()
-		if err != nil {
-			log.Printf("promote: %v", err)
-			return
-		}
-		log.Printf("promoted to primary at version %d", store.Version())
-		if replAddr != "" {
-			rsrv := repl.NewServer(store)
-			rsrv.ClientAddr = addr
-			go func() {
-				log.Printf("shipping to replicas on %s", replAddr)
-				if err := rsrv.Serve(replAddr); err != nil {
-					log.Printf("replication listener: %v", err)
+	if c.ReplicaOf != "" {
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGHUP)
+		go func() {
+			for range sig {
+				if err := n.Promote(); err != nil {
+					log.Printf("promote: %v", err)
 				}
-			}()
-		}
-		srv.Promote(store)
-	}()
-
-	log.Printf("replica of %s serving reads on %s (SIGHUP promotes)", upstream, addr)
-	defer dumpFlightOnPanic(rep.Store())
-	if err := srv.Serve(addr); err != nil {
+			}
+		}()
+	}
+	if err := n.Wait(); err != nil {
 		log.Fatal(err)
 	}
 }

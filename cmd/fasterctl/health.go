@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/health"
 	"repro/internal/kvserver"
+	"repro/internal/node"
 	"repro/internal/storage"
 )
 
@@ -99,11 +100,12 @@ func printVerdict(v *health.Verdict) {
 //	fasterctl incident -dump <incident-artifact-file> [-json] [-events N]
 //	fasterctl incident -dir <checkpoint-dir>            # list bundles
 //	fasterctl incident -dir <checkpoint-dir> <name>     # decode one
+//	fasterctl -dir <db-dir> incident [name]             # the db's checkpoints
 //
 // A bundle holds the evidence frozen at the moment of the stall: the full
 // metrics snapshot, the flight-recorder timeline, the slowest traces, and
 // goroutine + heap profiles.
-func incidentCmd(args []string) int {
+func incidentCmd(args []string, dbDir string) int {
 	fs := flag.NewFlagSet("incident", flag.ExitOnError)
 	dumpFile := fs.String("dump", "", "incident artifact file to decode")
 	dir := fs.String("dir", "", "checkpoint directory to list/read bundles from")
@@ -112,9 +114,13 @@ func incidentCmd(args []string) int {
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: fasterctl incident -dump <file> [-json] [-events N]")
 		fmt.Fprintln(os.Stderr, "       fasterctl incident -dir <checkpoint-dir> [name]")
+		fmt.Fprintln(os.Stderr, "       fasterctl -dir <db-dir> incident [name]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args) //nolint:errcheck
+	if *dir == "" && dbDir != "" {
+		*dir = node.CheckpointDir(dbDir)
+	}
 
 	var payload []byte
 	switch {

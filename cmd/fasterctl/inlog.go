@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	cpr "repro"
 	"repro/internal/inlog"
+	"repro/internal/node"
 )
 
 // inlogCmd is the offline ingestion-log inspector:
@@ -28,10 +28,10 @@ func inlogCmd(args []string) int {
 	ckDir := fs.String("checkpoints", "", "checkpoint directory for watermarks (overrides -dir; optional)")
 	fs.Parse(args) //nolint:errcheck
 	if *segDir == "" && *dir != "" {
-		*segDir = filepath.Join(*dir, "inlog")
+		*segDir = node.InlogDir(*dir)
 	}
 	if *ckDir == "" && *dir != "" {
-		*ckDir = filepath.Join(*dir, "checkpoints")
+		*ckDir = node.CheckpointDir(*dir)
 	}
 	if *segDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")

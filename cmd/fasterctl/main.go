@@ -13,7 +13,7 @@
 //	fasterctl pipeload -addr localhost:7070 -n 100000 -depth 64
 //	fasterctl inlog -dir /tmp/db
 //	fasterctl health -addr localhost:7070
-//	fasterctl incident -dir /tmp/db/checkpoints
+//	fasterctl -dir /tmp/db incident
 //	fasterctl benchdiff results/BENCH_tput.json /tmp/BENCH_tput.json
 //
 // Every mutating invocation recovers the store from -dir (if a commit
@@ -25,12 +25,10 @@ package main
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +36,7 @@ import (
 
 	cpr "repro"
 	"repro/internal/kvserver"
+	"repro/internal/node"
 	"repro/internal/obs"
 )
 
@@ -72,7 +71,7 @@ func main() {
 		os.Exit(healthCmd(flag.Args()[1:]))
 	}
 	if flag.NArg() >= 1 && flag.Arg(0) == "incident" {
-		os.Exit(incidentCmd(flag.Args()[1:]))
+		os.Exit(incidentCmd(flag.Args()[1:], *dir))
 	}
 	if flag.NArg() >= 1 && flag.Arg(0) == "benchdiff" {
 		os.Exit(benchdiffCmd(flag.Args()[1:]))
@@ -80,7 +79,7 @@ func main() {
 	if flag.NArg() >= 1 && flag.Arg(0) == "verify" {
 		// Offline integrity walk — never opens the store, so it is safe to
 		// run against a directory another process is serving from.
-		ckDir := filepath.Join(*dir, "checkpoints")
+		ckDir := node.CheckpointDir(*dir)
 		if flag.NArg() >= 2 {
 			ckDir = flag.Arg(1)
 		} else if *dir == "" {
@@ -99,44 +98,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "       fasterctl pipeload -addr <server-addr> [-n ops] [-depth d]")
 		fmt.Fprintln(os.Stderr, "       fasterctl inlog [-dir <db-dir>] [-segments <seg-dir>] [-checkpoints <ck-dir>]")
 		fmt.Fprintln(os.Stderr, "       fasterctl health -addr <server-addr> [-json]")
-		fmt.Fprintln(os.Stderr, "       fasterctl incident [-dump <file> | -dir <checkpoint-dir> [name]]")
+		fmt.Fprintln(os.Stderr, "       fasterctl [-dir <db-dir>] incident [-dump <file> | -dir <checkpoint-dir>] [name]")
 		fmt.Fprintln(os.Stderr, "       fasterctl benchdiff [-threshold pct] <old.json> <new.json>")
 		os.Exit(2)
 	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
+	cfg := cpr.StoreConfig{Shards: *shards, Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
+	if err := node.DirStorage(&cfg, *dir); err != nil {
 		log.Fatal(err)
 	}
-	checkpoints, err := cpr.NewDirCheckpointStore(filepath.Join(*dir, "checkpoints"))
+	store, err := node.OpenStore(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	cfg := cpr.StoreConfig{Shards: *shards, Checkpoints: checkpoints,
-		Flight: cpr.NewFlightRecorder(obs.DefaultFlightCapacity)}
-	if *shards > 1 {
-		base := *dir
-		cfg.DeviceFactory = func(i int) (cpr.Device, error) {
-			return cpr.OpenFileDevice(filepath.Join(base, fmt.Sprintf("hybridlog-shard%d.dat", i)))
-		}
-	} else {
-		device, err := cpr.OpenFileDevice(filepath.Join(*dir, "hybridlog.dat"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Device = device
-	}
-
-	store, err := cpr.RecoverStore(cfg)
-	if err != nil {
-		if !errors.Is(err, cpr.ErrNoCheckpoint) {
-			// Shard-count mismatch, corrupt artifact, ...: starting fresh
-			// would shadow the existing data.
-			log.Fatal(err)
-		}
-		// No commit yet: fresh store.
-		store, err = cpr.OpenStore(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	defer store.Close()
 	sess := store.StartSession()

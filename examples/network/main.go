@@ -8,12 +8,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log"
+	"os"
 	"sync"
-	"time"
 
-	cpr "repro"
-	"repro/internal/faster"
 	"repro/internal/kvserver"
+	"repro/internal/node"
 )
 
 func u64(v uint64) []byte {
@@ -22,35 +21,18 @@ func u64(v uint64) []byte {
 	return b
 }
 
-func serve(cfg faster.Config, recover bool) (*kvserver.Server, *faster.Store, string) {
-	var store *faster.Store
-	var err error
-	if recover {
-		store, err = faster.Recover(cfg)
-	} else {
-		store, err = faster.Open(cfg)
-	}
+func main() {
+	dir, err := os.MkdirTemp("", "cpr-network-") // survives the simulated server crash
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := kvserver.NewServer(store)
-	go func() {
-		if err := srv.Serve("127.0.0.1:0"); err != nil {
-			log.Printf("serve: %v", err)
-		}
-	}()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	defer os.RemoveAll(dir)
+	cfg := node.Config{Addr: "127.0.0.1:0", Dir: dir, Shards: 1}
+	srv, err := node.Open(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return srv, store, srv.Addr().String()
-}
-
-func main() {
-	device := cpr.NewMemDevice() // survives the simulated server crash
-	checkpoints := cpr.NewMemCheckpointStore()
-	cfg := faster.Config{Device: device, Checkpoints: checkpoints}
-
-	srv, store, addr := serve(cfg, false)
+	addr := srv.Addr().String()
 	fmt.Println("server listening on", addr)
 
 	// Three clients write disjoint key ranges concurrently.
@@ -84,13 +66,16 @@ func main() {
 	}
 	wg.Wait()
 
-	// Crash the server process state; the device and checkpoints survive.
+	// Crash the server process state; the log and checkpoints survive.
 	srv.Close()
-	store.Close()
 	fmt.Println("server crashed; restarting from checkpoints")
 
-	srv2, store2, addr2 := serve(cfg, true)
-	defer func() { srv2.Close(); store2.Close() }()
+	srv2, err := node.Open(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv2.Close()
+	addr2 := srv2.Addr().String()
 
 	for i := 0; i < clients; i++ {
 		c, err := kvserver.Dial(addr2, ids[i])

@@ -52,13 +52,9 @@ func init() {
 // given cadence, reporting the session durability-lag distribution.
 func runLagPoint(cfg Config, w io.Writer, every time.Duration, keys uint64, threads int, secs float64) error {
 	reg := obs.NewRegistry()
-	buckets := 1
-	for uint64(buckets) < keys/2 {
-		buckets <<= 1
-	}
-	s, err := faster.Open(faster.Config{
-		IndexBuckets: buckets, PageBits: 16, MemPages: 64, Metrics: reg,
-	})
+	sc := storeConfig(FasterParams{Keys: keys, PageBits: 16, MemPages: 64})
+	sc.Metrics = reg
+	s, err := faster.Open(sc)
 	if err != nil {
 		return err
 	}

@@ -60,14 +60,9 @@ func runFaultPoint(cfg Config, w io.Writer, rate float64, keys uint64, threads i
 	dev := storage.NewFaultDevice(storage.NewMemDevice(), inj)
 	cs := storage.NewFaultCheckpointStore(storage.NewMemCheckpointStore(), inj)
 
-	buckets := 1
-	for uint64(buckets) < keys/2 {
-		buckets <<= 1
-	}
-	s, err := faster.Open(faster.Config{
-		IndexBuckets: buckets, PageBits: 16, MemPages: 64,
-		Device: dev, Checkpoints: cs, Metrics: reg,
-	})
+	sc := storeConfig(FasterParams{Keys: keys, PageBits: 16, MemPages: 64})
+	sc.Device, sc.Checkpoints, sc.Metrics = dev, cs, reg
+	s, err := faster.Open(sc)
 	if err != nil {
 		return err
 	}

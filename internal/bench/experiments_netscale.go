@@ -4,14 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faster"
-	"repro/internal/hlog"
 	"repro/internal/kvserver"
-	"repro/internal/storage"
 )
 
 // netscale measures what the v3 pipelined wire protocol buys: blind-write
@@ -68,37 +67,20 @@ func runNetScalePoint(cfg Config, conns, depth int, keys uint64, duration float6
 	addr := cfg.Addr
 	var store *faster.Store
 	if addr == "" {
-		buckets := 1
-		for uint64(buckets) < keys/2 {
-			buckets <<= 1
-		}
-		recBytes := uint64(hlog.RecordSize(8, 8))
-		memPages := int(2*keys*recBytes>>18) + 4
-		shards := cfg.Shards
-		if shards > 1 {
-			memPages += 4 * (shards - 1)
-		}
-		st, err := faster.Open(faster.Config{
-			Shards:       shards,
-			IndexBuckets: buckets,
-			PageBits:     18,
-			MemPages:     memPages,
-			DeviceFactory: func(int) (storage.Device, error) {
-				return storage.NewMemDevice(), nil
-			},
-		})
+		st, err := faster.Open(storeConfig(FasterParams{Keys: keys, ValueSize: 8, Shards: cfg.Shards}))
 		if err != nil {
 			return 0, nil, err
 		}
 		defer st.Close()
 		store = st
-		srv := kvserver.NewServer(store)
-		go srv.Serve("127.0.0.1:0") //nolint:errcheck
-		defer srv.Close()
-		for srv.Addr() == nil {
-			time.Sleep(time.Millisecond)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return 0, nil, err
 		}
-		addr = srv.Addr().String()
+		srv := kvserver.NewServer(store)
+		go srv.Serve(ln) //nolint:errcheck
+		defer srv.Close()
+		addr = ln.Addr().String()
 	}
 
 	mops := netLoad(addr, conns, depth, keys, duration)

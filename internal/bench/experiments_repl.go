@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"repro/internal/faster"
-	"repro/internal/hlog"
 	"repro/internal/repl"
-	"repro/internal/storage"
 )
 
 // repllag measures the replication extension: a primary under a YCSB update
@@ -37,27 +35,7 @@ func runReplLag(cfg Config, w io.Writer) error {
 		threads = 4 // past a few writers the bottleneck is the loopback, not the store
 	}
 
-	mkConfig := func() faster.Config {
-		buckets := 1
-		for uint64(buckets) < keys/2 {
-			buckets <<= 1
-		}
-		recBytes := uint64(hlog.RecordSize(8, 8))
-		memPages := int(2*keys*recBytes>>18) + 4
-		shards := cfg.Shards
-		if shards > 1 {
-			memPages += 4 * (shards - 1)
-		}
-		return faster.Config{
-			Shards:       shards,
-			IndexBuckets: buckets,
-			PageBits:     18,
-			MemPages:     memPages,
-			DeviceFactory: func(int) (storage.Device, error) {
-				return storage.NewMemDevice(), nil
-			},
-		}
-	}
+	mkConfig := func() faster.Config { return storeConfig(FasterParams{Keys: keys, ValueSize: 8, Shards: cfg.Shards}) }
 
 	primary, err := faster.Open(mkConfig())
 	if err != nil {
@@ -71,12 +49,8 @@ func runReplLag(cfg Config, w io.Writer) error {
 		return err
 	}
 	addr := ln.Addr().String()
-	ln.Close()
-	go srv.Serve(addr) //nolint:errcheck
+	go srv.Serve(ln) //nolint:errcheck
 	defer srv.Close()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
 
 	rep, err := repl.NewReplica(repl.Config{Upstream: addr, StoreConfig: mkConfig()})
 	if err != nil {

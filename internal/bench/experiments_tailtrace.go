@@ -4,16 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faster"
-	"repro/internal/hlog"
 	"repro/internal/kvserver"
 	"repro/internal/obs"
 	"repro/internal/repl"
-	"repro/internal/storage"
 )
 
 // tailtrace drives traced kvserver clients against a live server and sweeps
@@ -68,27 +67,7 @@ func runTailTracePoint(cfg Config, w io.Writer, cadence time.Duration, withRepl 
 		threads = 4 // the loopback, not the store, saturates first
 	}
 
-	mk := func() faster.Config {
-		buckets := 1
-		for uint64(buckets) < keys/2 {
-			buckets <<= 1
-		}
-		recBytes := uint64(hlog.RecordSize(8, 8))
-		memPages := int(2*keys*recBytes>>18) + 4
-		shards := cfg.Shards
-		if shards > 1 {
-			memPages += 4 * (shards - 1)
-		}
-		return faster.Config{
-			Shards:       shards,
-			IndexBuckets: buckets,
-			PageBits:     18,
-			MemPages:     memPages,
-			DeviceFactory: func(int) (storage.Device, error) {
-				return storage.NewMemDevice(), nil
-			},
-		}
-	}
+	mk := func() faster.Config { return storeConfig(FasterParams{Keys: keys, ValueSize: 8, Shards: cfg.Shards}) }
 
 	storeCfg := mk()
 	storeCfg.ReqTrace = obs.NewRequestTracer(64)
@@ -98,26 +77,28 @@ func runTailTracePoint(cfg Config, w io.Writer, cadence time.Duration, withRepl 
 	}
 	defer store.Close()
 
-	srv := kvserver.NewServer(store)
-	srv.AutoCommit = cadence    // must be set before Serve starts the committer
-	go srv.Serve("127.0.0.1:0") //nolint:errcheck
-	defer srv.Close()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
 	}
-	addr := srv.Addr().String()
+	srv := kvserver.NewServer(store)
+	srv.AutoCommit = cadence // must be set before Serve starts the committer
+	go srv.Serve(ln)         //nolint:errcheck
+	defer srv.Close()
+	addr := ln.Addr().String()
 
 	if withRepl {
+		rln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
 		rsrv := repl.NewServer(store)
 		rsrv.ClientAddr = addr
 		srv.ReplStats = rsrv.ReplStats
-		go rsrv.Serve("127.0.0.1:0") //nolint:errcheck
+		go rsrv.Serve(rln) //nolint:errcheck
 		defer rsrv.Close()
-		for rsrv.Addr() == nil {
-			time.Sleep(time.Millisecond)
-		}
 		rep, err := repl.NewReplica(repl.Config{
-			Upstream: rsrv.Addr().String(), StoreConfig: mk(),
+			Upstream: rln.Addr().String(), StoreConfig: mk(),
 		})
 		if err != nil {
 			return err

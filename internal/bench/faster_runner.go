@@ -69,10 +69,9 @@ type FasterSummary struct {
 	PhaseNanos map[string]int64
 }
 
-// OpenLoadedStore opens a store sized for p and pre-loads all keys, as the
-// paper does before each experiment ("Threads first load the key-value store
-// with data").
-func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
+// storeConfig sizes an in-memory store for p: about twice the loaded data
+// set in HybridLog memory and an index bucket per two keys.
+func storeConfig(p FasterParams) faster.Config {
 	pageBits := p.PageBits
 	memPages := p.MemPages
 	if pageBits == 0 {
@@ -98,15 +97,23 @@ func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
 		// budget comparable to the single-shard configuration.
 		memPages += 4 * (shards - 1)
 	}
-	s, err := faster.Open(faster.Config{
+	return faster.Config{
 		Shards:       shards,
 		IndexBuckets: buckets,
 		PageBits:     uint(pageBits),
 		MemPages:     memPages,
 		Kind:         p.Kind,
 		Transfer:     p.Transfer,
-		Flight:       obs.NewFlightRecorder(obs.DefaultFlightCapacity),
-	})
+	}
+}
+
+// OpenLoadedStore opens a store sized for p and pre-loads all keys, as the
+// paper does before each experiment ("Threads first load the key-value store
+// with data").
+func OpenLoadedStore(p FasterParams) (*faster.Store, error) {
+	cfg := storeConfig(p)
+	cfg.Flight = obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	s, err := faster.Open(cfg)
 	if err != nil {
 		return nil, err
 	}

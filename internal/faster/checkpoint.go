@@ -187,6 +187,12 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 			}
 		}
 	}
+	// The manifest is written under shard 0's persist gate, so Close waits
+	// for it too.
+	s.shards[0].persistMu.RLock()
+	if firstErr == nil && s.shards[0].persistClosed {
+		firstErr = storage.ErrClosed
+	}
 	if firstErr == nil {
 		man := manifest{Token: mc.token, Version: mc.version, Shards: len(s.shards), Kind: kind.String()}
 		buf, err := json.Marshal(man)
@@ -206,6 +212,7 @@ func (s *Store) finishMultiCommit(mc *multiCommit) {
 		}
 		firstErr = err
 	}
+	s.shards[0].persistMu.RUnlock()
 	mc.res = CommitResult{
 		Token: mc.token, Version: mc.version, Kind: kind,
 		Serials: serials, Bytes: bytes, Err: firstErr,
@@ -447,9 +454,13 @@ func (ck *checkpointCtx) waitFlush() {
 	// [Lhe, Lie) so that recovery's Alg. 3 scan range max(Lie, Lhe) is fully
 	// on the device and v+1 records referenced by fuzzy index entries can be
 	// invalidated and chased back to their committed predecessors.
+	sh.persistMu.RLock()
+	if sh.persistClosed {
+		err = storage.ErrClosed
+	}
 	ck.lhe = sh.log.Tail()
 	indexToken := ""
-	if ck.opts.WithIndex {
+	if err == nil && ck.opts.WithIndex {
 		ck.lis = sh.log.Tail()
 		indexToken = ck.token
 		// Buffer the index image so it can be framed in the checksum
@@ -547,6 +558,7 @@ func (ck *checkpointCtx) waitFlush() {
 			})
 		}
 	}
+	sh.persistMu.RUnlock()
 	if err == nil {
 		// This shard's checkpoint — log capture, page CRCs, metadata and
 		// latest-pointer — is fully durable.

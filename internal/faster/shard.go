@@ -81,6 +81,13 @@ type shard struct {
 	// in the store's durability-lag metrics. Fired from the uncoordinated
 	// completion path only; coordinated commits record at the store level.
 	noteCommitted func(CommitResult)
+
+	// persistMu is read-held while a commit writes its artifacts, so close
+	// waits out a persist in flight; a persist that starts after close sees
+	// persistClosed and fails without writing. Kept after the hot fields
+	// above so it does not change their cache-line layout.
+	persistMu     sync.RWMutex
+	persistClosed bool
 }
 
 // openShard creates one shard at version 1. cfg must already be the shard's
@@ -134,6 +141,9 @@ func openShard(cfg Config, id int, metrics storeMetrics, seq *atomic.Uint64) (*s
 // goroutine exits on its next abort check or when the closed log fails its
 // reads).
 func (sh *shard) close() {
+	sh.persistMu.Lock()
+	sh.persistClosed = true
+	sh.persistMu.Unlock()
 	rs := sh.restore.Load()
 	if rs != nil {
 		rs.abort()

@@ -419,7 +419,10 @@ func (s *Store) registerStoreGauges() {
 	reg.GaugeFunc("faster_sessions", func() int64 { return int64(s.SessionCount()) })
 }
 
-// Close shuts down background I/O. Outstanding sessions become invalid.
+// Close shuts down background I/O. Outstanding sessions become invalid. A
+// commit writing its artifacts finishes first; one that would start writing
+// later fails with storage.ErrClosed, so nothing is written after Close
+// returns.
 func (s *Store) Close() {
 	for _, sh := range s.shards {
 		sh.close()

@@ -323,6 +323,19 @@ func TestEngineStartStop(t *testing.T) {
 	}
 }
 
+// TestEngineStartTakesBaseline: Start samples once before returning, so a
+// Verdict read right after it lists every detector even though the sampling
+// goroutine's first tick is an interval away.
+func TestEngineStartTakesBaseline(t *testing.T) {
+	te := newTestEngine(t, func(cfg *Config) { cfg.Interval = time.Hour })
+	te.e.Start()
+	defer te.e.Stop()
+	v := te.e.Verdict()
+	if v.Samples != 1 || len(v.Detectors) != len(te.e.dets) {
+		t.Fatalf("verdict after Start: %d samples, %d of %d detectors", v.Samples, len(v.Detectors), len(te.e.dets))
+	}
+}
+
 func TestBuiltinSuiteRegistersMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	New(Config{Registry: reg, SLODurLag: 10 * time.Millisecond})

@@ -217,18 +217,21 @@ func New(cfg Config) *Engine {
 // metricName turns a kebab-case detector name into a metric-name fragment.
 func metricName(name string) string { return strings.ReplaceAll(name, "-", "_") }
 
-// Start launches the sampling goroutine at the configured interval. Safe to
-// call once; use Stop to halt it.
+// Start takes the baseline sample, so a Verdict read after Start lists
+// every detector, then launches the sampling goroutine at the configured
+// interval. Safe to call once; use Stop to halt it.
 func (e *Engine) Start() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
+		e.mu.Unlock()
 		return
 	}
 	e.started = true
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	go e.loop(e.stop, e.done)
+	stop, done := make(chan struct{}), make(chan struct{})
+	e.stop, e.done = stop, done
+	e.mu.Unlock()
+	e.Tick()
+	go e.loop(stop, done)
 }
 
 // Stop halts the sampling goroutine and waits for it to exit. No-op if not
@@ -250,7 +253,6 @@ func (e *Engine) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	t := time.NewTicker(e.cfg.Interval)
 	defer t.Stop()
-	e.Tick()
 	for {
 		select {
 		case <-stop:

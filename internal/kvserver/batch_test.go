@@ -22,14 +22,12 @@ func startServerTuned(t *testing.T, cfg faster.Config, tune func(*Server)) (*Ser
 	if tune != nil {
 		tune(srv)
 	}
-	if _, err := serveAsync(srv, "127.0.0.1:0"); err != nil {
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
 	t.Cleanup(func() { srv.Close(); store.Close() })
-	return srv, srv.Addr().String(), store
+	return srv, addr, store
 }
 
 // TestBatchRoundTrip pipelines a mixed batch and checks per-op statuses,
@@ -260,12 +258,13 @@ func TestBatchRedirectOnReplica(t *testing.T) {
 	defer store.Close()
 	rb := &fakeReplica{store: store, data: map[string]string{"rk": "rv"}}
 	srv := NewReplicaServer(rb)
-	if _, err := serveAsync(srv, "127.0.0.1:0"); err != nil {
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr().String(), "")
+	c, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +300,6 @@ func (f *fakeReplica) Read(key []byte) ([]byte, bool, error) {
 func (f *fakeReplica) RecoveredPoint(string) uint64 { return 0 }
 func (f *fakeReplica) Upstream() string             { return "primary.example:9" }
 func (f *fakeReplica) Store() *faster.Store         { return f.store }
-func (f *fakeReplica) ReplStats() *ReplStats        { return &ReplStats{} }
 
 // TestSingleOpMatchesOneEntryBatch sends one op sequence as single-op frames
 // to one server and as one-entry BATCH frames to an identically loaded other:

@@ -3,6 +3,7 @@ package kvserver
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
 	"os"
 	"strconv"
 	"sync"
@@ -20,36 +21,23 @@ func startServer(t *testing.T, cfg faster.Config) (*Server, string, *faster.Stor
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
-	ready := make(chan struct{})
-	go func() {
-		ln, err := serveAsync(srv, "127.0.0.1:0")
-		if err != nil {
-			t.Error(err)
-		}
-		_ = ln
-		close(ready)
-	}()
-	<-ready
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); store.Close() })
-	return srv, srv.Addr().String(), store
+	return srv, addr, store
 }
 
-// serveAsync starts Serve in a goroutine and waits for the listener.
-func serveAsync(srv *Server, addr string) (struct{}, error) {
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(addr) }()
-	for srv.Addr() == nil {
-		select {
-		case err := <-errCh:
-			return struct{}{}, err
-		default:
-			time.Sleep(time.Millisecond)
-		}
+// serveAsync binds addr, starts Serve on it in a goroutine and returns the
+// bound address.
+func serveAsync(srv *Server, addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
 	}
-	return struct{}{}, nil
+	go srv.Serve(ln) //nolint:errcheck
+	return ln.Addr().String(), nil
 }
 
 // smallCfg honors FASTER_TEST_SHARDS (CI's sharded job) so the whole server
@@ -223,12 +211,13 @@ func TestServerRestartResumeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv2 := NewServer(store2)
-	if _, err := serveAsync(srv2, "127.0.0.1:0"); err != nil {
+	addr2, err := serveAsync(srv2, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv2.Close(); store2.Close() }()
 
-	c2, err := Dial(srv2.Addr().String(), id)
+	c2, err := Dial(addr2, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +241,13 @@ func TestAutoCommit(t *testing.T) {
 	}
 	srv := NewServer(store)
 	srv.AutoCommit = 30 * time.Millisecond
-	if _, err := serveAsync(srv, "127.0.0.1:0"); err != nil {
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); store.Close() }()
 
-	c, err := Dial(srv.Addr().String(), "")
+	c, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}

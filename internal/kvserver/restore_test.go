@@ -20,11 +20,11 @@ func TestIdleSessionReaped(t *testing.T) {
 	}
 	srv := NewServer(store)
 	srv.IdleTimeout = 60 * time.Millisecond
-	if _, err := serveAsync(srv, "127.0.0.1:0"); err != nil {
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); store.Close() }()
-	addr := srv.Addr().String()
 
 	c, err := Dial(addr, "")
 	if err != nil {
@@ -124,12 +124,13 @@ func TestRestoreStatsOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(r)
-	if _, err := serveAsync(srv, "127.0.0.1:0"); err != nil {
+	addr, err := serveAsync(srv, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); r.Close() }()
 
-	c, err := Dial(srv.Addr().String(), "")
+	c, err := Dial(addr, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,12 @@ type Server struct {
 	// Logger receives connection errors; defaults to the standard logger.
 	Logger *log.Logger
 	// ReplStats, when set, attaches a replication block to OpStats responses
-	// (the replication server's progress on a primary; set automatically by
-	// NewReplicaServer on a replica).
+	// (the replication server's progress on a primary, the replica's on a
+	// replica). Set before Serve.
 	ReplStats func() *ReplStats
 	// Health, when set, serves the health engine's verdict for OpHealth and
 	// attaches it to OpStats responses (wired to health.Engine.Verdict by
-	// cprserver when -health-interval is on). Set before Serve.
+	// internal/node when its health engine is on). Set before Serve.
 	Health func() *health.Verdict
 
 	// CoalesceBytes / CoalesceOps bound per-connection write coalescing (the
@@ -107,8 +107,6 @@ type ReplicaBackend interface {
 	Upstream() string
 	// Store exposes the replica's underlying store (stats snapshots).
 	Store() *faster.Store
-	// ReplStats describes the replica's replication progress.
-	ReplStats() *ReplStats
 }
 
 // NewServer wraps an open store.
@@ -129,7 +127,6 @@ func NewServer(store *faster.Store) *Server {
 func NewReplicaServer(rb ReplicaBackend) *Server {
 	s := NewServer(rb.Store())
 	s.replica = rb
-	s.ReplStats = rb.ReplStats
 	return s
 }
 
@@ -186,14 +183,15 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// Serve listens on addr (e.g. "127.0.0.1:0") and blocks accepting
-// connections until Close. It returns the bound address via Addr.
-func (s *Server) Serve(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
+// Serve accepts connections on ln until Close, which closes ln (at once if
+// the server is already closed).
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	replica := s.replica != nil
 	s.mu.Unlock()
@@ -219,16 +217,6 @@ func (s *Server) Serve(addr string) error {
 		s.wg.Add(1)
 		go s.handle(conn)
 	}
-}
-
-// Addr returns the bound listen address (after Serve started).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Close stops the listener and waits for every in-flight handler to drain:
@@ -258,6 +246,7 @@ func (s *Server) Close() {
 
 func (s *Server) autoCommitter() {
 	defer s.wg.Done()
+	defer s.dumpFlightOnPanic()
 	t := time.NewTicker(s.AutoCommit)
 	defer t.Stop()
 	for {
@@ -356,8 +345,26 @@ func (s *Server) waitReadable(cs *connState, sess *faster.Session, cap time.Dura
 	}
 }
 
+// dumpFlightOnPanic, deferred by every goroutine that runs ops or commits,
+// persists the flight recorder's rings as the "flight-panic" checkpoint
+// artifact before letting a panic continue, so the last moments before the
+// crash survive for `fasterctl flight -dump`.
+func (s *Server) dumpFlightOnPanic() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if err := s.getStore().DumpFlight("panic"); err != nil {
+		s.Logger.Printf("flight dump: %v", err)
+	} else {
+		s.Logger.Printf("flight recorder dumped to checkpoint artifact flight-panic")
+	}
+	panic(r)
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	defer s.dumpFlightOnPanic()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)

@@ -18,15 +18,7 @@ func startKV(t *testing.T, srv *kvserver.Server) string {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ln.Close()
-	go srv.Serve(addr) //nolint:errcheck
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("kv server did not start")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	go srv.Serve(ln) //nolint:errcheck
 	return addr
 }
 
@@ -52,6 +44,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	kvReplica := kvserver.NewReplicaServer(rep)
+	kvReplica.ReplStats = rep.ReplStats
 	kvReplicaAddr := startKV(t, kvReplica)
 	defer kvReplica.Close()
 

@@ -180,7 +180,8 @@ func (r *Replica) RecoveredPoint(id string) uint64 {
 // Upstream returns the primary's client-facing address (for redirects).
 func (r *Replica) Upstream() string { return *r.upstreamClient.Load() }
 
-// ReplStats implements kvserver.ReplicaBackend.
+// ReplStats describes the replica's replication progress for a kvserver
+// stats snapshot.
 func (r *Replica) ReplStats() *kvserver.ReplStats {
 	role := "replica"
 	if r.promoted.Load() {

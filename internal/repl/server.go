@@ -84,14 +84,15 @@ func (s *Server) broadcast(token string) {
 	}
 }
 
-// Serve listens on addr and blocks accepting replica connections until
-// Close.
-func (s *Server) Serve(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
+// Serve accepts replica connections on ln until Close, which closes ln (at
+// once if the server is already closed).
+func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {
@@ -113,16 +114,6 @@ func (s *Server) Serve(addr string) error {
 		s.wg.Add(1)
 		go s.handle(conn, ch)
 	}
-}
-
-// Addr returns the bound listen address (after Serve started).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Replicas reports the number of connected replicas.
